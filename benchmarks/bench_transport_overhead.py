@@ -22,10 +22,15 @@ travel to workers pickled *by reference*, and when this file runs as a
 script its module is ``__main__``, which a fresh node-agent interpreter
 cannot import.  ``operator.add`` and ``len`` resolve everywhere.
 
-There is no "socket must be faster" gate -- it never will be on one
-host; the node agent exists as the stepping stone toward multi-host
-specs.  The artifact records both costs and the ratio, and the trend
-ledger gates drift across CI history::
+The gate is a fixed ceiling of **<= 5 ms per task** on the ``dispatch``
+round of *both* transports, at any core count: the router wakes on each
+commit's wake datagram instead of sleeping, so a task costs well under a
+millisecond of plumbing (about 0.4 ms forked, 0.5 ms socket on a 2-core
+host) and a per-task cost in the tens of milliseconds means a polling
+floor has crept back in.  There is no "socket must be faster" gate -- it
+never will be on one host; the node agent exists as the stepping stone
+toward multi-host specs.  The artifact records both costs and the ratio,
+and the trend ledger gates drift below the ceiling across CI history::
 
     python benchmarks/bench_transport_overhead.py --quick --json transport_overhead.json
 """
@@ -56,6 +61,9 @@ PAYLOAD_BYTES = 256 * 1024
 
 #: Worker slots per transport.
 WORKERS = 2
+
+#: Fixed per-task dispatch ceiling on every transport, any core count.
+MAX_DISPATCH_MS = 5.0
 
 
 def _make_executor(kind: str, workers: int):
@@ -161,23 +169,33 @@ def measure(*, quick: bool, workers: int = WORKERS) -> TransportOverheadResult:
 
 
 def check_overhead(result: TransportOverheadResult) -> str:
-    """Informational verdict: the ledger, not a fixed threshold, judges it."""
-    return (f"INFO: socket dispatch costs {result.socket_over_forked:.2f}x "
-            f"the forked pool's ({result.dispatch_ms('socket'):.3f} ms vs "
-            f"{result.dispatch_ms('forked'):.3f} ms per task); drift is "
-            f"gated by the trend ledger, not a fixed bound")
+    """The gate: <= MAX_DISPATCH_MS per task on both transports.
+
+    Not core-count gated: the task bodies are trivial, so the measured
+    time is dispatch and wake-up plumbing on any host.
+    """
+    for kind in ("forked", "socket"):
+        if result.dispatch_ms(kind) > MAX_DISPATCH_MS:
+            raise AssertionError(
+                f"{kind} transport dispatch costs "
+                f"{result.dispatch_ms(kind):.3f} ms per task; the ceiling is "
+                f"{MAX_DISPATCH_MS} ms")
+    return (f"PASS: {result.dispatch_ms('forked'):.3f} ms forked, "
+            f"{result.dispatch_ms('socket'):.3f} ms socket per task "
+            f"(ceiling {MAX_DISPATCH_MS} ms); socket/forked "
+            f"{result.socket_over_forked:.2f}x")
 
 
 # --------------------------------------------------------------------------
 # pytest entry point
 # --------------------------------------------------------------------------
 
-def test_transport_overhead_measures_both_substrates():
+def test_transport_overhead_under_dispatch_ceiling():
     result = measure(quick=True)
     record_report("Worker-transport dispatch overhead (forked vs socket)",
                   f"{result.report()}\n{check_overhead(result)}")
-    assert result.dispatch_seconds["forked"] > 0
-    assert result.dispatch_seconds["socket"] > 0
+    assert result.dispatch_ms("forked") <= MAX_DISPATCH_MS
+    assert result.dispatch_ms("socket") <= MAX_DISPATCH_MS
 
 
 # --------------------------------------------------------------------------

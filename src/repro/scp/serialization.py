@@ -16,12 +16,18 @@ then :func:`os.rename` into place.  A SIGKILL either commits a complete
 file or leaves nothing; readers never observe a torn write.  Every
 transport reuses :func:`commit_spool_file` rather than growing its own
 rename-commit implementation.
+
+Right after the rename a worker sends one datagram to the spool's *wake
+socket* (:func:`wake_spool`), so the parent's router wakes on the commit
+instead of polling for it.  The datagram is only a hint: the spool scan
+stays the authority for what committed.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import socket
 import sys
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
@@ -36,6 +42,14 @@ ENVELOPE_OVERHEAD_BYTES = 96
 #: the transports scan for.
 RESULT_SUFFIX = ".result"
 ERROR_SUFFIX = ".error"
+
+#: Name of the ``AF_UNIX`` datagram socket a transport binds inside its
+#: spool directory; workers send it one byte after every commit.
+WAKE_NAME = "wake"
+
+#: ``(pid, socket)`` of this process's wake sender, created on first use.
+#: Keyed by pid so a forked worker never sends through its parent's fd.
+_wake_sender: Optional[Tuple[int, socket.socket]] = None
 
 
 def spool_root() -> Optional[str]:
@@ -64,6 +78,27 @@ def commit_spool_file(spool_dir: str, name: str, payload: bytes) -> None:
     with open(partial, "wb") as fh:
         fh.write(payload)
     os.rename(partial, final)
+
+
+def wake_spool(spool_dir: str) -> None:
+    """Wake the router scanning ``spool_dir``: one datagram, best effort.
+
+    Sent right after a commit's rename.  A Unix datagram arrives whole or
+    not at all, the send never blocks and shares no lock, so a worker
+    SIGKILLed mid-send tears nothing.  A lost wake (receiver queue full,
+    socket gone) costs only latency: the router's periodic spool scan
+    still finds the committed file.
+    """
+    global _wake_sender
+    pid = os.getpid()
+    try:
+        if _wake_sender is None or _wake_sender[0] != pid:
+            sender = socket.socket(socket.AF_UNIX, socket.SOCK_DGRAM)
+            sender.setblocking(False)
+            _wake_sender = (pid, sender)
+        _wake_sender[1].sendto(b"\0", os.path.join(spool_dir, WAKE_NAME))
+    except OSError:
+        pass
 
 
 def payload_nbytes(payload: Any) -> int:
@@ -158,8 +193,10 @@ __all__ = [
     "ERROR_SUFFIX",
     "Envelope",
     "RESULT_SUFFIX",
+    "WAKE_NAME",
     "commit_spool_file",
     "payload_nbytes",
     "spool_root",
     "unlink_quietly",
+    "wake_spool",
 ]

@@ -50,10 +50,20 @@ a queue at all: the child pickles the result (or the error text) to a
 (:func:`repro.scp.serialization.commit_spool_file`), and the parent's
 router discovers completions by scanning the spool directory.  A kill
 either commits a complete file or leaves nothing, no lock is shared on
-the result path, and the router can never block -- which is what makes
-the "completes or fails typed, never hangs" contract hold.  This
-invariant now lives in :mod:`repro.scp.transport`, where every transport
-(forked pool slots and socket node agents alike) reuses it.
+the result path, and the router can never block on a torn read -- which
+is what makes the "completes or fails typed, never hangs" contract hold.
+This invariant now lives in :mod:`repro.scp.transport`, where every
+transport (forked pool slots and socket node agents alike) reuses it.
+
+The router is event-driven, not polled.  Right after its rename a worker
+sends one datagram to an ``AF_UNIX`` socket bound at ``<spool>/wake``
+(:func:`repro.scp.serialization.wake_spool`), and ``submit``/``close``
+call ``transport.notify()``; the router blocks in ``transport.wait``
+until one of them arrives.  The wake datagram is only a hint: the spool
+scan is authoritative, so a lost or never-sent wake costs at most one
+sweep tick (which runs only while tasks are pending) and never a
+result.  The wake socket lives inside the spool directory, so the
+``/dev/shm`` residue checks that cover the spool cover it too.
 """
 
 from __future__ import annotations
@@ -69,7 +79,8 @@ from ..logging_utils import get_logger
 from .errors import SCPError
 from .serialization import (ERROR_SUFFIX as _ERROR_SUFFIX,
                             RESULT_SUFFIX as _RESULT_SUFFIX,
-                            commit_spool_file as _commit_spool_file)
+                            commit_spool_file as _commit_spool_file,
+                            wake_spool as _wake_spool)
 from .transport import (STAGE_ASSIGN as _STAGE_ASSIGN, CommittedResult,
                         ForkedProcessTransport, InProcessTransport, TaskFrame,
                         WorkerTransport)
@@ -78,8 +89,14 @@ _LOG = get_logger("scp.stages")
 
 #: Seconds a worker may be observed dead without a committed spool file
 #: before its task is re-dispatched (a result committed just before death
-#: is picked up by the scan within one poll tick).
+#: is picked up by the scan within one router tick).
 _DEATH_CONFIRM_SECONDS = 0.25
+
+#: Router tick while tasks are pending.  Commits and the first submit wake
+#: the router at once; the tick only drives the death sweep (which needs
+#: _DEATH_CONFIRM_SECONDS to confirm a death anyway) and bounds the delay a
+#: lost wake datagram can cause.  An idle router blocks with no tick.
+_SWEEP_TICK_SECONDS = 0.1
 
 
 class ThroughputEWMA:
@@ -169,11 +186,12 @@ def try_run_stage(item: Any, outbox) -> bool:
         except Exception as err:  # noqa: BLE001 - task errors reported, not fatal
             _commit_spool_file(spool_dir, stem + _ERROR_SUFFIX,
                                repr(err).encode("utf-8", "replace"))
-            return True
-        _commit_spool_file(spool_dir, stem + _RESULT_SUFFIX,
-                           pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+        else:
+            _commit_spool_file(spool_dir, stem + _RESULT_SUFFIX,
+                               pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
     except Exception:  # spool dir gone: the executor was closed underneath
-        pass           # this task; keep the worker alive regardless
+        return True    # this task; keep the worker alive regardless
+    _wake_spool(spool_dir)
     return True
 
 
@@ -346,12 +364,11 @@ class TransportStageExecutor(StageAccountingMixin):
     """
 
     def __init__(self, transport: WorkerTransport, *, workers: int = 4,
-                 max_retries: int = 2, poll_interval: float = 0.002) -> None:
+                 max_retries: int = 2) -> None:
         _validate_executor_params(workers, max_retries)
         self._transport = transport
         self._workers = workers
         self._max_retries = max_retries
-        self._poll_interval = poll_interval
         self._slots_free = threading.BoundedSemaphore(workers)
         self._pending: Dict[int, _PendingStage] = {}
         #: Crash-retry tasks waiting for a warm worker (see _flush_deferred).
@@ -418,6 +435,7 @@ class TransportStageExecutor(StageAccountingMixin):
             if self._closed:
                 self._slots_free.release()
                 raise StageError(stage, "stage executor is closed")
+            router_idle = not self._pending
             self._pending[record.task_id] = record
         try:
             ref = self._transport.acquire()
@@ -429,6 +447,10 @@ class TransportStageExecutor(StageAccountingMixin):
                 self._pending.pop(record.task_id, None)
             self._slots_free.release()
             raise
+        if router_idle:
+            # An idle router blocks with no tick; it must start sweeping
+            # in case this task's worker dies before it can commit.
+            self._transport.notify()
         return record.future
 
     # ------------------------------------------------------------- dispatch
@@ -462,8 +484,11 @@ class TransportStageExecutor(StageAccountingMixin):
 
         The router reads no queue that a SIGKILLed worker could corrupt --
         commits arrive through the transport's crash-safe path (spool scan
-        or in-memory hand-off), so it can never block (the property the
-        crash matrix leans on).
+        or in-memory hand-off), so it can never block on a torn read (the
+        property the crash matrix leans on).  It sleeps in
+        ``transport.wait``, which returns on a commit's wake, on
+        ``notify()`` from ``submit``/``close``, or on the sweep tick --
+        and only while tasks are pending does that tick exist at all.
         """
         while not self._closed:
             resolved = 0
@@ -473,9 +498,7 @@ class TransportStageExecutor(StageAccountingMixin):
             if resolved:
                 self._flush_deferred()  # the resolves just freed workers
             self._sweep()
-            # Tight polling only while work is in flight; an idle session's
-            # router must not spin the CPU.
-            self._transport.wait(self._poll_interval if self._pending else 0.05)
+            self._transport.wait(_SWEEP_TICK_SECONDS if self._pending else None)
 
     def _resolve(self, committed: CommittedResult) -> bool:
         with self._lock:
@@ -601,6 +624,7 @@ class TransportStageExecutor(StageAccountingMixin):
         if self._closed:
             return
         self._closed = True
+        self._transport.notify()  # an idle router is blocked in wait()
         self._router.join(timeout=2.0)
         if getattr(self._transport, "drain_on_close", False):
             self._transport.close()  # waits for running thread tasks
@@ -648,11 +672,10 @@ class PoolStageExecutor(TransportStageExecutor):
     """
 
     def __init__(self, pool, *, workers: int = 4, max_retries: int = 2,
-                 owns_pool: bool = False, poll_interval: float = 0.002) -> None:
+                 owns_pool: bool = False) -> None:
         _validate_executor_params(workers, max_retries)
         super().__init__(ForkedProcessTransport(pool, owns_pool=owns_pool),
-                         workers=workers, max_retries=max_retries,
-                         poll_interval=poll_interval)
+                         workers=workers, max_retries=max_retries)
 
 
 class ThreadStageExecutor(TransportStageExecutor):

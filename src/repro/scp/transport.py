@@ -16,6 +16,8 @@ instead:
 * ``acquire``/``send`` -- borrow a worker and hand it one task frame;
 * ``poll_committed`` -- collect results that were durably *committed*
   (an atomic spool rename, or an in-memory hand-off for host threads);
+* ``wait``/``notify`` -- block the router until a commit (or a
+  ``notify`` from the executor) wakes it, with an optional timeout;
 * ``probe``/``kill`` -- liveness checks and the chaos hard-kill hook;
 * ``release``/``discard``/``close`` -- recycle, condemn, drain.
 
@@ -46,6 +48,10 @@ Crash-safety invariants (kept here, in one place lintlab can see):
   worker -- workers commit pickled results to tmpfs spool files with an
   atomic rename (:func:`repro.scp.serialization.commit_spool_file`) and
   parents discover completions by directory scan;
+* after the rename a worker sends a one-byte datagram to the spool's
+  wake socket; it is only a hint that wakes the router early, the scan
+  stays authoritative, and the socket file lives inside the spool
+  directory, so the ``/dev/shm`` residue checks cover it;
 * multiprocessing queues appear only between a parent and workers it
   alone manages, and a condemned worker's queue is released with
   ``cancel_join_thread`` so a feeder thread can never wedge shutdown;
@@ -68,7 +74,6 @@ import subprocess
 import sys
 import tempfile
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
@@ -76,8 +81,8 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from ..logging_utils import get_logger
 from .errors import RuntimeStateError
 from .pool import ProcessPool, default_start_method
-from .serialization import (ERROR_SUFFIX, RESULT_SUFFIX, spool_root,
-                            unlink_quietly)
+from .serialization import (ERROR_SUFFIX, RESULT_SUFFIX, WAKE_NAME,
+                            spool_root, unlink_quietly)
 
 _LOG = get_logger("scp.transport")
 
@@ -234,9 +239,15 @@ class WorkerTransport:
         """Collect results committed since the last poll (consuming)."""
         raise NotImplementedError
 
-    def wait(self, timeout: float) -> None:
-        """Router idle hook: sleep up to ``timeout`` awaiting commits."""
-        time.sleep(timeout)
+    def wait(self, timeout: Optional[float]) -> None:
+        """Block the router until a commit or :meth:`notify` wakes it, or
+        ``timeout`` seconds pass (``None``: no timeout).  Waking without a
+        commit is allowed; the caller re-polls either way."""
+        raise NotImplementedError
+
+    def notify(self) -> None:
+        """Wake a router blocked in :meth:`wait` (never blocks itself)."""
+        raise NotImplementedError
 
     def alive_workers(self) -> int:
         """Live workers, busy or idle (0 signals total substrate loss)."""
@@ -381,12 +392,14 @@ class InProcessTransport(WorkerTransport):
             except IndexError:
                 return committed
 
-    def wait(self, timeout: float) -> None:
-        # Event-driven instead of sleep-polling: a commit wakes the router
-        # immediately, keeping thread-backed latency on par with the old
-        # callback-driven executor.
+    def wait(self, timeout: Optional[float]) -> None:
+        # Cleared before the caller re-polls, so a commit landing after
+        # the clear leaves the event set for the next wait.
         self._wakeup.wait(timeout)
         self._wakeup.clear()
+
+    def notify(self) -> None:
+        self._wakeup.set()
 
     def alive_workers(self) -> int:
         return self._workers
@@ -399,6 +412,84 @@ class InProcessTransport(WorkerTransport):
 
 
 # ---------------------------------------------------------------------------
+# The shared result path of the process transports
+# ---------------------------------------------------------------------------
+
+class SpoolTransport(WorkerTransport):
+    """Base of the transports whose workers are killable OS processes.
+
+    Owns the one spool lifecycle both process transports share: a
+    private tmpfs directory workers commit ``{task_id}-{attempt}``
+    files into, the ``AF_UNIX`` datagram socket bound at
+    ``<spool>/wake`` that wakes the router after each commit, the scan
+    (:func:`collect_spool`) and the teardown.  Subclasses provide the
+    workers and stop them in :meth:`_stop_workers`.
+    """
+
+    supports_kill = True
+    uses_processes = True
+
+    def __init__(self) -> None:
+        self._closed = False
+        self._spool = tempfile.mkdtemp(prefix="scp-stages-", dir=spool_root())
+        self._wake = socket_module.socket(socket_module.AF_UNIX,
+                                          socket_module.SOCK_DGRAM)
+        # notify() sends through a socket *connected* to the wake socket,
+        # so it still reaches the router if the socket's name is unlinked.
+        self._notifier = socket_module.socket(socket_module.AF_UNIX,
+                                              socket_module.SOCK_DGRAM)
+        try:
+            self._wake.bind(os.path.join(self._spool, WAKE_NAME))
+            self._notifier.connect(self._wake.getsockname())
+        except OSError:
+            self._close_spool()
+            raise
+        self._wake.setblocking(False)
+        self._notifier.setblocking(False)
+        # poll, not select: no FD_SETSIZE cap on the wake socket's fd number.
+        self._poller = select.poll()
+        self._poller.register(self._wake, select.POLLIN)
+
+    @property
+    def spool_dir(self) -> str:
+        """Directory workers commit results (and send wakes) into."""
+        return self._spool
+
+    def poll_committed(self) -> List[CommittedResult]:
+        return collect_spool(self._spool)
+
+    def wait(self, timeout: Optional[float]) -> None:
+        if not self._poller.poll(None if timeout is None else 1000.0 * timeout):
+            return
+        while True:  # drain: one wake covers every commit scanned after it
+            try:
+                self._wake.recv(64)
+            except BlockingIOError:
+                return
+
+    def notify(self) -> None:
+        try:
+            self._notifier.send(b"\0")
+        except OSError:  # queue full: a wake is already pending
+            pass
+
+    def _stop_workers(self) -> None:
+        raise NotImplementedError
+
+    def _close_spool(self) -> None:
+        self._notifier.close()
+        self._wake.close()
+        shutil.rmtree(self._spool, ignore_errors=True)
+
+    def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        self._stop_workers()
+        self._close_spool()
+
+
+# ---------------------------------------------------------------------------
 # Forked-process transport (ProcessPool slots)
 # ---------------------------------------------------------------------------
 
@@ -406,7 +497,7 @@ class InProcessTransport(WorkerTransport):
                     description="long-lived ProcessPool slots; task frames on "
                                 "per-slot mp queues, results through the "
                                 "atomic spool commit")
-class ForkedProcessTransport(WorkerTransport):
+class ForkedProcessTransport(SpoolTransport):
     """Stage tasks on :class:`~repro.scp.pool.ProcessPool` slots.
 
     Backs the ``process:N`` backend spec.  Task frames travel over each
@@ -417,8 +508,6 @@ class ForkedProcessTransport(WorkerTransport):
     """
 
     kind = "forked-process"
-    supports_kill = True
-    uses_processes = True
 
     def __init__(self, pool: Optional[ProcessPool] = None, *,
                  start_method: Optional[str] = None,
@@ -428,8 +517,7 @@ class ForkedProcessTransport(WorkerTransport):
             owns_pool = True if owns_pool is None else owns_pool
         self._pool = pool
         self._owns_pool = bool(owns_pool)
-        self._spool = tempfile.mkdtemp(prefix="scp-stages-", dir=spool_root())
-        self._closed = False
+        super().__init__()
 
     @property
     def pool(self) -> ProcessPool:
@@ -459,19 +547,12 @@ class ForkedProcessTransport(WorkerTransport):
     def discard(self, ref) -> None:
         self._pool.discard(ref)
 
-    def poll_committed(self) -> List[CommittedResult]:
-        return collect_spool(self._spool)
-
     def alive_workers(self) -> int:
         return self._pool.size
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
+    def _stop_workers(self) -> None:
         if self._owns_pool:
             self._pool.close()
-        shutil.rmtree(self._spool, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +624,7 @@ class _SocketSlot:
                     description="localhost node-agent process over "
                                 "length-prefixed TCP frames; results through "
                                 "the same atomic spool commit")
-class SocketTransport(WorkerTransport):
+class SocketTransport(SpoolTransport):
     """Stage tasks on a node agent reached over a TCP frame stream.
 
     The parent launches ``python -m repro.scp.transport`` as the *node
@@ -563,8 +644,6 @@ class SocketTransport(WorkerTransport):
     """
 
     kind = "socket"
-    supports_kill = True
-    uses_processes = True
 
     def __init__(self, *, workers: int = 4,
                  start_method: Optional[str] = None) -> None:
@@ -572,12 +651,10 @@ class SocketTransport(WorkerTransport):
             raise ValueError("workers must be >= 1")
         self._workers = workers
         self._start_method = start_method or default_start_method()
-        self._spool = tempfile.mkdtemp(prefix="scp-stages-", dir=spool_root())
         self._lock = threading.Lock()          # slot/agent state
         self._send_lock = threading.Lock()     # frame-stream serialisation
         self._respawn_lock = threading.Lock()  # one restart at a time
         self._incs = itertools.count()
-        self._closed = False
         self._agent: Optional[subprocess.Popen] = None
         self._conn: Optional[socket_module.socket] = None
         self._reader: Optional[threading.Thread] = None
@@ -585,6 +662,7 @@ class SocketTransport(WorkerTransport):
         self._agent_alive = False
         #: Agent restarts after total loss (observable recovery metric).
         self.agent_restarts = 0
+        super().__init__()
 
     # ----------------------------------------------------------- agent state
     def _agent_ok_locked(self) -> bool:
@@ -813,22 +891,15 @@ class SocketTransport(WorkerTransport):
             reset_frame = ("reset", ref.index, incarnation)
         self._send(reset_frame)
 
-    def poll_committed(self) -> List[CommittedResult]:
-        return collect_spool(self._spool)
-
     def alive_workers(self) -> int:
         with self._lock:
             if not self._agent_ok_locked():
                 return 0
             return sum(1 for slot in self._slots if slot.alive)
 
-    def close(self) -> None:
-        if self._closed:
-            return
+    def _stop_workers(self) -> None:
         self._send(("shutdown",))
-        self._closed = True
         self._teardown_agent()
-        shutil.rmtree(self._spool, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------
@@ -963,6 +1034,7 @@ __all__ = [
     "InProcessTransport",
     "STAGE_ASSIGN",
     "SocketTransport",
+    "SpoolTransport",
     "TaskFrame",
     "WorkerTransport",
     "collect_spool",

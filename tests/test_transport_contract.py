@@ -5,7 +5,9 @@ threads, forked pool slots, and the socket node agent -- asserting the
 behaviours the unified stage executor (repro.scp.stages) promises
 regardless of substrate: submit/result round trips, typed deterministic
 errors, crash retry after a mid-task SIGKILL, typed close-drain, identical
-kill-accounting semantics, and zero /dev/shm or spool residue.
+kill-accounting semantics, zero /dev/shm or spool residue, and an
+event-driven router: sub-10 ms round trips, a prompt close, no idle CPU,
+and correct results even when every wake datagram is lost.
 
 The task functions live at module level on purpose: the socket transport's
 node agent is a fresh interpreter that unpickles them *by reference*, so
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import os
 import signal
+import statistics
 import time
 
 import pytest
@@ -24,6 +27,7 @@ import pytest
 from repro.scp.pool import ProcessPool
 from repro.scp.stages import (PoolStageExecutor, StageCrashError, StageError,
                               ThreadStageExecutor, TransportStageExecutor)
+from repro.scp.serialization import WAKE_NAME
 from repro.scp.transport import (SocketTransport, WorkerTransport,
                                  create_transport, describe_transports,
                                  register_transport, transport_names)
@@ -169,6 +173,69 @@ def test_inprocess_close_drains_running_tasks():
     future = executor.submit("screen", slow_add, 5, 6)
     executor.close()
     assert future.result(timeout=5) == 11
+
+
+# ---------------------------------------------------------------------------
+# Event-driven router: wakes on commits, blocks while idle
+# ---------------------------------------------------------------------------
+
+def thread_cpu_seconds(native_id):
+    """User + system CPU of one thread of this process, from procfs."""
+    with open(f"/proc/self/task/{native_id}/stat") as fh:
+        stat = fh.read()
+    fields = stat[stat.rindex(")") + 2:].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+@pytest.mark.parametrize("kind", KILLABLE_TRANSPORTS)
+def test_results_arrive_without_wake_datagrams(kind):
+    """The wake datagram is only a hint: with the wake socket's name gone,
+    every worker's send fails, and the router's sweep tick plus the spool
+    scan still resolve every task."""
+    with make_executor(kind) as executor:
+        os.unlink(os.path.join(executor.transport.spool_dir, WAKE_NAME))
+        start = time.monotonic()
+        futures = [executor.submit("screen", add, i, 100) for i in range(6)]
+        assert [f.result(timeout=2.0) for f in futures] == [100 + i
+                                                           for i in range(6)]
+        assert time.monotonic() - start < 2.0
+
+
+@pytest.mark.parametrize("kind", TRANSPORTS)
+def test_close_of_idle_executor_is_prompt(kind):
+    """An idle router blocks with no timeout, so close() must wake it."""
+    executor = make_executor(kind)
+    assert executor.submit("screen", add, 1, 1).result(timeout=60) == 2
+    time.sleep(0.2)  # let the router settle into its idle wait
+    start = time.monotonic()
+    executor.close()
+    assert time.monotonic() - start < 0.5
+
+
+@pytest.mark.parametrize("kind", KILLABLE_TRANSPORTS)
+def test_round_trip_has_no_dispatch_floor(kind):
+    with make_executor(kind) as executor:
+        for warm in range(4):  # spawn and connect off the clock
+            executor.submit("screen", add, warm, 1).result(timeout=60)
+        samples = []
+        for index in range(20):
+            start = time.monotonic()
+            assert executor.submit("screen", add, index, 1).result(
+                timeout=60) == index + 1
+            samples.append(time.monotonic() - start)
+    assert statistics.median(samples) < 0.010
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs Linux procfs for per-thread CPU time")
+@pytest.mark.parametrize("kind", TRANSPORTS)
+def test_idle_router_uses_no_cpu(kind):
+    with make_executor(kind) as executor:
+        assert executor.submit("screen", add, 1, 1).result(timeout=60) == 2
+        router = executor._router.native_id
+        before = thread_cpu_seconds(router)
+        time.sleep(1.0)
+        assert thread_cpu_seconds(router) - before < 0.020
 
 
 # ---------------------------------------------------------------------------
