@@ -1,15 +1,16 @@
 """Reusable fusion sessions: amortise setup across repeated workloads.
 
 A one-shot :func:`repro.fuse` on the process backend pays two setup costs on
-every call: the worker *processes* are spawned fresh (interpreter start-up),
-and the cube's samples are *copied* into a new shared-memory segment.  For a
-service fusing a stream of requests those costs dominate small runs.
+every call: the worker *processes* are spawned fresh into a private pool that
+is closed when the run ends (interpreter start-up), and the cube's samples
+are *copied* into a new shared-memory segment.  For a service fusing a
+stream of requests those costs dominate small runs.
 
 :class:`FusionSession` keeps both alive between calls:
 
 * a persistent :class:`~repro.scp.pool.ProcessPool` of worker processes that
-  successive runs borrow instead of spawning (see
-  :class:`~repro.scp.pool.PooledProcessBackend`), and
+  successive runs borrow instead of spawning (each batch-engine run is a
+  ``ProcessBackend(pool=...)`` over it), and
 * a :class:`~repro.data.shared.SharedCube` placement cache, so fusing the
   same cube again -- a parameter sweep, a retry, a monitoring loop -- never
   re-copies the samples.
@@ -46,12 +47,12 @@ from ..config import FusionConfig
 from ..core.streaming import execute_pipeline_request, validate_pipeline_request
 from ..data.cube import HyperspectralCube
 from ..data.shared import OutputPool, SharedCube
-from ..scp.pool import PooledProcessBackend, ProcessPool
+from ..scp.pool import ProcessPool
+from ..scp.process_backend import ProcessBackend
 from ..scp.registry import BackendSpec
 from ..scp.runtime import Backend
-from ..scp.stages import (PoolStageExecutor, ThreadStageExecutor,
-                          TransportStageExecutor)
-from ..scp.transport import SocketTransport
+from ..scp.stages import PoolStageExecutor, TransportStageExecutor
+from ..scp.transport import InProcessTransport, SocketTransport
 from .engines import get_engine
 from .request import FusionReport, FusionRequest
 
@@ -224,7 +225,7 @@ class FusionSession:
                 with self._run_lock:
                     backend_instance: Optional[Backend] = None
                     if self._pool is not None:
-                        backend_instance = PooledProcessBackend(self._pool)
+                        backend_instance = ProcessBackend(pool=self._pool)
                     report = self._engine.run(request, backend=backend_instance)
         finally:
             self._unpin(cube)
@@ -349,7 +350,8 @@ class FusionSession:
                                         start_method=self._start_method),
                         workers=workers)
                 else:
-                    self._stage_executor = ThreadStageExecutor(workers=workers)
+                    self._stage_executor = TransportStageExecutor(
+                        InProcessTransport(workers=workers), workers=workers)
             return self._stage_executor
 
     @property

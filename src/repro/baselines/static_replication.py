@@ -28,7 +28,7 @@ from ..resilience.attack import AttackScenario
 class StaticReplicationPCT(_ResilientPCT):
     """Replicated distributed fusion with regeneration switched off.
 
-    Accepts the same arguments as :class:`~repro.core.resilient.ResilientPCT`
+    Accepts the same arguments as :class:`~repro.core.resilient._ResilientPCT`
     (cluster, backend, attack scenario, ...) but forces
     ``resilience.regenerate = False`` so lost replicas stay lost.  A
     ``reassign_timeout`` may be supplied to emulate an application that

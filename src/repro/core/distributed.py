@@ -1,9 +1,10 @@
 """Distributed (manager/worker) spectral-screening PCT.
 
-:class:`DistributedPCT` assembles the manager and worker thread programs into
+:class:`_DistributedPCT` assembles the manager and worker thread programs into
 an SCP :class:`~repro.scp.runtime.Application`, runs it on a chosen backend
-and returns both the fusion output and the run metrics.  Three backends are
-supported out of the box:
+and returns both the fusion output and the run metrics; callers reach it
+through :func:`repro.fuse` / :func:`repro.open_session` with
+``engine="distributed"``.  Three backends are supported out of the box:
 
 ``backend="sim"``
     The deterministic discrete-event simulation of a workstation LAN
@@ -28,7 +29,6 @@ sequential :class:`~repro.core.pipeline.SpectralScreeningPCT` reference.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -220,22 +220,5 @@ class _DistributedPCT:
         return DistributedRunOutcome(result=result, metrics=metrics, run=run)
 
 
-class DistributedPCT(_DistributedPCT):
-    """Deprecated constructor-style entry point.
-
-    Kept as a thin shim over the internal engine so existing code keeps
-    working unchanged; new code should call :func:`repro.fuse` (one shot) or
-    :func:`repro.open_session` (repeated workloads) with
-    ``engine="distributed"`` instead.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        warnings.warn(
-            "DistributedPCT is deprecated; use repro.fuse(cube, "
-            "engine='distributed', backend=...) or repro.open_session(...) instead",
-            DeprecationWarning, stacklevel=2)
-        super().__init__(*args, **kwargs)
-
-
-__all__ = ["DistributedPCT", "DistributedRunOutcome", "worker_name",
+__all__ = ["DistributedRunOutcome", "worker_name",
            "MANAGER_NAME", "WORKER_PREFIX"]

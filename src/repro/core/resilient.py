@@ -1,12 +1,12 @@
-"""Resilient distributed fusion: DistributedPCT + computational resiliency.
+"""Resilient distributed fusion: the distributed engine plus resiliency.
 
-:class:`ResilientPCT` is the configuration the paper actually evaluates:
-every worker thread is replicated (level 2 in Section 4), the manager -- the
-sensor -- is not, heartbeat failure detection and dynamic regeneration are
-armed, and the more expensive group-communication protocols (acknowledgement
-and sequencing overheads) are charged by the simulated backend.  An optional
-attack scenario and camouflage policy can be layered on without touching the
-algorithm code.
+:class:`_ResilientPCT` (``engine="resilient"``) is the configuration the paper
+actually evaluates: every worker thread is replicated (level 2 in Section 4),
+the manager -- the sensor -- is not, heartbeat failure detection and dynamic
+regeneration are armed, and the more expensive group-communication
+protocols (acknowledgement and sequencing overheads) are charged by the
+simulated backend.  An optional attack scenario and camouflage policy can be
+layered on without touching the algorithm code.
 
 The fusion output of a resilient run is identical to the plain distributed
 run and to the sequential reference -- resiliency only changes *how long*
@@ -16,7 +16,6 @@ Figure 4 measures.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
@@ -187,21 +186,4 @@ class _ResilientPCT:
                                    resilience_report=report)
 
 
-class ResilientPCT(_ResilientPCT):
-    """Deprecated constructor-style entry point.
-
-    Kept as a thin shim over the internal engine so existing code keeps
-    working unchanged; new code should call :func:`repro.fuse` (one shot) or
-    :func:`repro.open_session` (repeated workloads) with
-    ``engine="resilient"`` instead.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        warnings.warn(
-            "ResilientPCT is deprecated; use repro.fuse(cube, "
-            "engine='resilient', backend=...) or repro.open_session(...) instead",
-            DeprecationWarning, stacklevel=2)
-        super().__init__(*args, **kwargs)
-
-
-__all__ = ["ResilientPCT", "ResilientRunOutcome"]
+__all__ = ["ResilientRunOutcome"]

@@ -59,12 +59,13 @@ from ..config import FusionConfig, ScreeningConfig
 from ..data.cube import CubeError, HyperspectralCube
 from ..data.shared import (OutputPool, SharedComposite, SharedCompositeHandle,
                            SharedCube, output_tile_views)
-from ..scp.pool import PooledProcessBackend, ProcessPool
+from ..scp.pool import ProcessPool
+from ..scp.process_backend import ProcessBackend
 from ..scp.registry import BackendSpec
 from ..scp.runtime import Backend
-from ..scp.stages import (PoolStageExecutor, ThreadStageExecutor,
-                          ThroughputEWMA, TransportStageExecutor)
-from ..scp.transport import SocketTransport
+from ..scp.stages import (PoolStageExecutor, ThroughputEWMA,
+                          TransportStageExecutor)
+from ..scp.transport import InProcessTransport, SocketTransport
 from .kernels import kernel_covariance_sum, kernel_project_and_map
 from .partition import (SubcubeSpec, decompose, extract_subcube,
                         reassemble_composite, subcube_pixel_matrix)
@@ -318,9 +319,10 @@ def run_pipeline(cube: HyperspectralCube, config: FusionConfig, executor, *,
                  output_pool: Optional[OutputPool] = None) -> FusionResult:
     """Drive one cube through the staged screen/statistics/transform DAG.
 
-    ``executor`` is any stage executor (:class:`PoolStageExecutor` or
-    :class:`ThreadStageExecutor`); several concurrent ``run_pipeline`` calls
-    may share one executor, which is how independent cubes overlap.
+    ``executor`` is any stage executor (:class:`PoolStageExecutor`, or a
+    :class:`TransportStageExecutor` over host threads); several concurrent
+    ``run_pipeline`` calls may share one executor, which is how independent
+    cubes overlap.
 
     ``zero_copy`` selects the result transport of the projection stage:
     workers write tiles straight into a :class:`~repro.data.shared.
@@ -517,7 +519,8 @@ def make_stage_executor(spec: BackendSpec, *, workers: int,
         transport = SocketTransport(workers=workers, start_method=start_method)
         return TransportStageExecutor(transport, workers=workers)
     if spec.name in _THREAD_SPECS:
-        return ThreadStageExecutor(workers=workers)
+        return TransportStageExecutor(InProcessTransport(workers=workers),
+                                      workers=workers)
     raise ValueError(
         f"engine 'pipeline' cannot stream on backend {spec.name!r}; "
         f"supported backend specs: "
@@ -597,8 +600,8 @@ class PipelineEngine:
         owned_executor = None
         placed: Optional[SharedCube] = None
         if backend is not None:
-            if isinstance(backend, PooledProcessBackend):
-                executor = PoolStageExecutor(backend._pool, workers=workers,
+            if isinstance(backend, ProcessBackend) and backend.pool is not None:
+                executor = PoolStageExecutor(backend.pool, workers=workers,
                                              owns_pool=False)
                 owned_executor = executor
                 label = backend.kind
@@ -607,7 +610,7 @@ class PipelineEngine:
                 raise ValueError(
                     "engine 'pipeline' executes stage tasks, not SCP programs; "
                     "pass a backend spec (e.g. 'process:8') or a "
-                    "PooledProcessBackend, not a bare backend instance")
+                    "ProcessBackend built with a pool, not a bare backend instance")
         else:
             spec = request.backend_choice(default="process")
             if isinstance(spec, Backend):  # an instance smuggled through request

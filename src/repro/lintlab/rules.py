@@ -30,13 +30,12 @@ from .registry import LintContext, Rule, register_rule
 #: atexit sweep guarantees zero /dev/shm residue (PR 4).
 SHARED_MEMORY_SANCTUARY = ("repro/data/shared.py",)
 
-#: Modules allowed to build multiprocessing queues/pipes: the SCP replica
-#: mailboxes, whose feeder threads the backends own and drain, and the
+#: Modules allowed to build multiprocessing queues/pipes: the pool, whose
+#: slot mailboxes and outbox every process-backend run borrows, and the
 #: worker-transport seam (task-frame inboxes written only by the parent
 #: that owns the worker).  Stage results must use the atomic-rename spool
 #: transport instead (PR 3, PR 9).
-QUEUE_SANCTUARY = ("repro/scp/pool.py", "repro/scp/process_backend.py",
-                   "repro/scp/transport.py")
+QUEUE_SANCTUARY = ("repro/scp/pool.py", "repro/scp/transport.py")
 
 #: The fork-safe primitives module RPL003 points at.
 FORKSAFE_SANCTUARY = ("repro/forksafe.py",)

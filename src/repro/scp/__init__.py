@@ -12,8 +12,9 @@ deterministic discrete-event simulation of a workstation cluster
 
 Backends are addressable by name through the registry (:mod:`.registry`,
 spec strings such as ``"process:fork"`` or ``"sim:switched"``), and the
-persistent worker pool (:mod:`.pool`) lets repeated runs reuse live worker
-processes instead of spawning per run.
+persistent worker pool (:mod:`.pool`) supplies the worker processes of every
+process run; keeping one open lets repeated runs reuse live workers instead
+of spawning per run.
 
 The streaming pipeline engine executes *stage tasks* rather than SCP
 programs; its worker substrates live behind the transport seam
@@ -29,7 +30,7 @@ from .errors import (DeadlockError, PlacementError, ReceiveTimeout,
                      UnknownDestinationError)
 from .group import Router
 from .local_backend import LocalBackend
-from .pool import PooledProcessBackend, ProcessPool, default_start_method
+from .pool import ProcessPool, default_start_method
 from .process_backend import ProcessBackend
 from .registry import (SIM_PRESETS, BackendContext, BackendSpec, backend_names,
                        create_backend, describe_backends, register_backend)
@@ -37,7 +38,7 @@ from .runtime import (Application, Backend, Context, RunResult, ThreadOutcome,
                       plan_placement)
 from .serialization import ENVELOPE_OVERHEAD_BYTES, Envelope, payload_nbytes
 from .stages import (PoolStageExecutor, StageCrashError, StageError,
-                     ThreadStageExecutor, TransportStageExecutor)
+                     TransportStageExecutor)
 from .transport import (CommittedResult, ForkedProcessTransport,
                         InProcessTransport, SocketTransport, TaskFrame,
                         WorkerTransport, create_transport, describe_transports,
@@ -68,7 +69,6 @@ __all__ = [
     "UnknownDestinationError",
     "Router",
     "LocalBackend",
-    "PooledProcessBackend",
     "ProcessPool",
     "default_start_method",
     "ProcessBackend",
@@ -91,7 +91,6 @@ __all__ = [
     "PoolStageExecutor",
     "StageCrashError",
     "StageError",
-    "ThreadStageExecutor",
     "TransportStageExecutor",
     "CommittedResult",
     "ForkedProcessTransport",

@@ -1,23 +1,20 @@
-"""Persistent worker-process pool: amortised spawning for repeated runs.
+"""Persistent worker-process pool: the execution vehicle of every process run.
 
-:class:`~repro.scp.process_backend.ProcessBackend` spawns one operating-system
-process per physical replica *per run* and tears everything down afterwards.
-For a single fusion that is the right lifecycle, but a service fusing many
-cubes pays the interpreter start-up (hundreds of milliseconds per process
-under the portable ``spawn`` start method) on every request.
+:class:`ProcessPool` owns long-lived *slots* -- worker processes running
+:func:`_pool_child_main`, which sits on its inbox waiting for work,
+executes it, reports through the pool's shared outbox, and returns to idle.
+A slot accepts two kinds of work:
 
-This module keeps the processes alive instead:
+* a full SCP *program* assignment from
+  :class:`~repro.scp.process_backend.ProcessBackend`, interpreted by
+  :func:`_interpret_program` (the child side of the process backend lives
+  here, next to the idle loop that calls it);
+* a short *stage task* from the streaming pipeline engine
+  (:mod:`repro.scp.stages`), whose result is committed to a spool file.
 
-* :class:`ProcessPool` owns long-lived *slots* -- worker processes running
-  :func:`_pool_child_main`, which sits on its inbox waiting for a program
-  assignment, interprets it with the exact same effect interpreter the
-  one-shot backend uses (:func:`~repro.scp.process_backend._interpret_program`),
-  reports through the pool's shared outbox, and returns to idle.
-* :class:`PooledProcessBackend` is a drop-in :class:`Backend` that borrows
-  slots from a pool instead of spawning processes.  Parent-side routing,
-  metrics, crash detection and regeneration are inherited unchanged from
-  :class:`ProcessBackend`; only the provisioning of execution vehicles
-  differs.
+Every :class:`~repro.scp.process_backend.ProcessBackend` run executes on
+pool slots, borrowed from a caller's pool or from a private one the run
+creates and closes (see that module for the lifecycle).
 
 The pool grows on demand (a run needing more replicas than there are idle
 slots spawns the difference) and never shrinks on its own; slots whose
@@ -35,12 +32,15 @@ import itertools
 import multiprocessing
 import queue as queue_module
 import threading
-from typing import Any, List, Optional
+import time
+from typing import Any, Callable, Dict, List, Optional
 
 from ..logging_utils import get_logger
-from .errors import RuntimeStateError
-from .process_backend import (_SHUTDOWN, ProcessBackend, _interpret_program,
-                              _ProcessTask)
+from .channel import Mailbox
+from .effects import Checkpoint, Compute, GetTime, Probe, Recv, Send, Sleep
+from .errors import ReceiveTimeout, RuntimeStateError, SCPError
+from .runtime import Context
+from .serialization import Envelope
 
 _LOG = get_logger("scp.pool")
 
@@ -49,6 +49,18 @@ _ASSIGN = "__scp_pool_assign__"
 
 #: Sentinel asking a pool child to exit its idle loop and terminate.
 _POOL_EXIT = "__scp_pool_exit__"
+
+#: Sentinel asking a slot to abandon its current program and return to idle.
+_SHUTDOWN = "__scp_shutdown__"
+
+#: Spacing of the duplicate-suppression sequence ranges of successive
+#: incarnations, so a regenerated replica's un-keyed messages are never
+#: mistaken for its predecessor's.
+_INCARNATION_SEQ_STRIDE = 1_000_000
+
+
+class _ShutdownSignal(Exception):
+    """Internal control flow: the parent asked this slot to drop its program."""
 
 
 def default_start_method() -> str:
@@ -62,16 +74,137 @@ def default_start_method() -> str:
     return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
+# ---------------------------------------------------------------------------
+# Child-process side
+# ---------------------------------------------------------------------------
+
+def _interpret_program(logical: str, replica: int, physical_id: str, node: str,
+                       program: Callable, params: Dict[str, Any], restored: Any,
+                       incarnation: int, inbox, outbox, epoch: float) -> None:
+    """Interpret one thread program inside a worker process.
+
+    Everything observable leaves through ``outbox`` as small tagged tuples:
+    ``("send", pid, envelope)``, ``("phase", pid, node, name, seconds)``,
+    ``("checkpoint", logical, state)``, ``("finished", pid, result, dups)``
+    and ``("crashed", pid, message)``.
+
+    Returns normally both when the program runs to completion and when the
+    parent requests a shutdown mid-program, so the slot's idle loop can call
+    this once per assignment.
+    """
+    ctx = Context(name=logical, replica=replica, physical_id=physical_id,
+                  node=node, params=dict(params), restored=restored,
+                  incarnation=incarnation)
+    mailbox = Mailbox(physical_id, dedup=True, thread_safe=False)
+    send_seq = incarnation * _INCARNATION_SEQ_STRIDE
+
+    def now() -> float:
+        # Monotonic (RPL004): envelope timestamps are run-relative
+        # *elapsed* time shared with the parent's epoch; the wall clock
+        # would skew them under an NTP step mid-run.  CLOCK_MONOTONIC is
+        # system-wide, so parent/child differences stay meaningful.
+        return time.monotonic() - epoch
+
+    def absorb(item: Any) -> None:
+        if isinstance(item, str) and item == _SHUTDOWN:
+            raise _ShutdownSignal()
+        mailbox.deposit(item)
+
+    def drain_nonblocking() -> None:
+        while True:
+            try:
+                item = inbox.get_nowait()
+            except queue_module.Empty:
+                return
+            absorb(item)
+
+    def do_recv(effect: Recv):
+        deadline = (None if effect.timeout is None
+                    else time.monotonic() + effect.timeout)
+        while True:
+            envelope = mailbox.try_consume(effect.port)
+            if envelope is not None:
+                envelope.deliver_time = now()
+                return envelope
+            remaining = None if deadline is None else deadline - time.monotonic()
+            if remaining is not None and remaining <= 0:
+                raise ReceiveTimeout(physical_id, effect.port, effect.timeout or 0.0)
+            wait = 0.5 if remaining is None else min(remaining, 0.5)
+            try:
+                item = inbox.get(timeout=wait)
+            except queue_module.Empty:
+                continue
+            absorb(item)
+
+    def execute(effect):
+        nonlocal send_seq
+        if isinstance(effect, Compute):
+            start = time.perf_counter()
+            result = effect.fn(*effect.args, **effect.kwargs)
+            outbox.put(("phase", physical_id, node, effect.phase,
+                        time.perf_counter() - start))
+            return result
+        if isinstance(effect, Send):
+            send_seq += 1
+            envelope = Envelope(src=logical, dst=effect.dst, port=effect.port,
+                                payload=effect.payload, seq=send_seq,
+                                key=effect.key, src_physical=physical_id,
+                                urgent=effect.urgent, send_time=now())
+            outbox.put(("send", physical_id, envelope))
+            return None
+        if isinstance(effect, Recv):
+            return do_recv(effect)
+        if isinstance(effect, Probe):
+            drain_nonblocking()
+            return mailbox.has_matching(effect.port)
+        if isinstance(effect, Sleep):
+            time.sleep(max(0.0, effect.seconds))
+            return None
+        if isinstance(effect, Checkpoint):
+            outbox.put(("checkpoint", logical, effect.state))
+            return None
+        if isinstance(effect, GetTime):
+            return now()
+        raise SCPError(f"program yielded a non-effect object: {effect!r}")
+
+    gen = program(ctx, **params)
+    value: Any = None
+    throw: Optional[BaseException] = None
+    try:
+        while True:
+            try:
+                if throw is not None:
+                    exc, throw = throw, None
+                    effect = gen.throw(exc)
+                else:
+                    effect = gen.send(value)
+            except StopIteration as stop:
+                outbox.put(("finished", physical_id, stop.value,
+                            mailbox.suppressed_duplicates))
+                return
+            try:
+                value = execute(effect)
+            except _ShutdownSignal:
+                raise
+            except ReceiveTimeout as err:
+                value, throw = None, err
+    except _ShutdownSignal:
+        return
+    except ReceiveTimeout as err:
+        outbox.put(("crashed", physical_id, f"uncaught ReceiveTimeout: {err}"))
+    except Exception as err:  # noqa: BLE001 - program errors are reported
+        outbox.put(("crashed", physical_id, repr(err)))
+
+
 def _pool_child_main(slot_name: str, inbox, outbox) -> None:
     """Idle loop of a pool slot: wait for assignments, interpret, repeat.
 
     A slot accepts two kinds of work: full SCP *program* assignments
-    (interpreted with the shared effect interpreter, exactly as the one-shot
-    process backend does) and short *stage tasks* from the streaming
-    pipeline engine (:mod:`repro.scp.stages`).  Anything else on the inbox
-    -- a stale envelope or shutdown marker from a program that already ended
-    -- is dropped, so leftovers of a previous run can never leak into the
-    next.
+    (interpreted by :func:`_interpret_program`) and short *stage tasks* from
+    the streaming pipeline engine (:mod:`repro.scp.stages`).  Anything else
+    on the inbox -- a stale envelope or shutdown marker from a program that
+    already ended -- is dropped, so leftovers of a previous run can never
+    leak into the next.
     """
     from ..data.shared import release_attachments
     from .stages import try_run_stage
@@ -92,6 +225,10 @@ def _pool_child_main(slot_name: str, inbox, outbox) -> None:
                            params, restored, incarnation, inbox, outbox, epoch)
 
 
+# ---------------------------------------------------------------------------
+# Parent-process side
+# ---------------------------------------------------------------------------
+
 class _PoolSlot:
     """Parent-side record of one long-lived worker process."""
 
@@ -100,7 +237,6 @@ class _PoolSlot:
         self.process = process
         self.inbox = inbox
         self.busy = False
-        self.assignments = 0
 
     @property
     def alive(self) -> bool:
@@ -170,16 +306,13 @@ class ProcessPool:
         with self._lock:
             self._check_open()
             self._prune_dead()
-            for slot in self._slots:
-                if slot.alive and not slot.busy:
-                    slot.busy = True
-                    slot.assignments += 1
-                    return slot
-            if not allow_spawn:
-                return None
-            slot = self._spawn_slot()
+            slot = next((slot for slot in self._slots
+                         if slot.alive and not slot.busy), None)
+            if slot is None:
+                if not allow_spawn:
+                    return None
+                slot = self._spawn_slot()
             slot.busy = True
-            slot.assignments += 1
             return slot
 
     def release(self, slot: _PoolSlot) -> None:
@@ -261,108 +394,4 @@ class ProcessPool:
         self.close()
 
 
-class PooledProcessBackend(ProcessBackend):
-    """Process backend that borrows replicas from a :class:`ProcessPool`.
-
-    A backend instance is still single use -- parent-side routing state is
-    per run -- but the expensive part, the worker processes, persists in the
-    pool across instances.  Create one per run::
-
-        pool = ProcessPool()
-        result = PooledProcessBackend(pool).run(app, until_thread="manager")
-        result = PooledProcessBackend(pool).run(app2, until_thread="manager")
-        pool.close()
-    """
-
-    kind = "pooled-process"
-
-    def __init__(self, pool: ProcessPool, *, crash_policy: str = "raise",
-                 default_timeout: Optional[float] = 300.0,
-                 shutdown_grace: float = 5.0) -> None:
-        super().__init__(crash_policy=crash_policy, default_timeout=default_timeout,
-                         start_method=pool.start_method, shutdown_grace=shutdown_grace)
-        self._pool = pool
-
-    # --------------------------------------------------------- task plumbing
-    def _make_outbox(self):
-        # Reuse the pool's long-lived report queue; drop anything a previous
-        # run may have left behind so its records cannot bleed into this one.
-        while True:
-            try:
-                self._pool.outbox.get_nowait()
-            except queue_module.Empty:
-                break
-        return self._pool.outbox
-
-    def _provision_task(self, task: _ProcessTask, restored: Any) -> None:
-        task.restored = restored
-        slot = self._pool.acquire()
-        task.slot = slot
-        task.inbox = slot.inbox
-        task.process = slot.process
-
-    def _start_task(self, task: _ProcessTask) -> None:
-        task.status = "running"
-        task.inbox.put((_ASSIGN, task.logical, task.replica, task.physical_id,
-                        task.physical_id, task.spec.program,
-                        self._shared_params[task.logical], task.restored,
-                        task.incarnation, self._epoch))
-        # Only after the assignment: the idle loop drops anything earlier.
-        self._flush_dead_letters(task)
-
-    # ----------------------------------------------------------- termination
-    def kill_thread(self, physical_id: str, reason: str = "killed") -> bool:
-        with self._lock:
-            task = self._tasks.get(physical_id)
-            if task is None or not task.alive:
-                return False
-            task.status = "killed"
-            self.router.unregister(physical_id)
-            if reason == "killed":
-                self.collector.increment("failures_injected")
-            slot = getattr(task, "slot", None)
-            logical = task.logical
-        if slot is not None:
-            if reason == "shutdown":
-                # Ask the child to abandon the program and return to idle;
-                # the slot itself is discarded at cleanup (it may comply
-                # arbitrarily late, so it must not be reused).
-                try:
-                    slot.inbox.put(_SHUTDOWN)
-                except Exception:  # pragma: no cover - queue already closed
-                    pass
-            else:
-                # Fault injection / timeout: SIGKILL the slot for real.
-                self._pool.discard(slot)
-        if reason == "killed":
-            for callback in self._death_callbacks:
-                callback(physical_id, logical, reason)
-        return True
-
-    # --------------------------------------------------------------- cleanup
-    def _cleanup(self) -> None:
-        """Return slots to the pool instead of tearing processes down.
-
-        Only slots whose program provably ended -- a ``finished`` report, or
-        a ``crashed`` report from a program error the child caught (the
-        child is back in its idle loop either way) -- are recycled.  A slot
-        whose process died, or that was shut down mid-program and may still
-        be executing, is discarded so the pool never hands out a slot with
-        an old program attached.
-        """
-        with self._lock:
-            tasks = list(self._tasks.values())
-        for task in tasks:
-            slot = getattr(task, "slot", None)
-            if slot is None:
-                continue
-            if task.status in ("finished", "crashed") and slot.alive:
-                self._pool.release(slot)
-            else:
-                self._pool.discard(slot)
-        for cube in self._shared_cubes:
-            cube.close()
-        self._shared_cubes.clear()
-
-
-__all__ = ["ProcessPool", "PooledProcessBackend", "default_start_method"]
+__all__ = ["ProcessPool", "default_start_method"]

@@ -1,24 +1,37 @@
 """Process-parallel execution backend: real OS processes, wall-clock time.
 
 This backend runs the *same* thread programs as the simulated and local
-backends, but on genuine :class:`multiprocessing.Process` workers, one per
-physical replica.  Unlike the thread-based :class:`~repro.scp.local_backend.
-LocalBackend` -- which shares a single CPython interpreter and therefore a
-single GIL -- every replica here owns an interpreter of its own, so compute
-phases genuinely overlap on multi-core hosts and the measured wall-clock
-speed-up is real rather than simulated.
+backends, but on genuine worker processes, one per physical replica.  Unlike
+the thread-based :class:`~repro.scp.local_backend.LocalBackend` -- which
+shares a single CPython interpreter and therefore a single GIL -- every
+replica here owns an interpreter of its own, so compute phases genuinely
+overlap on multi-core hosts and the measured wall-clock speed-up is real
+rather than simulated.
 
 Architecture
 ------------
-The parent process is the *post office*: it owns the logical-to-physical
-:class:`~repro.scp.group.Router` and a single ``outbox`` queue that every
-child writes to.  A child never talks to another child directly; a
-:class:`~repro.scp.effects.Send` becomes a pickled
+The worker processes are slots of a :class:`~repro.scp.pool.ProcessPool`;
+the child side (the slot's idle loop and the effect interpreter) lives in
+:mod:`repro.scp.pool`.  The parent process is the *post office*: it owns the
+logical-to-physical :class:`~repro.scp.group.Router` and reads the pool's
+single ``outbox`` queue that every slot writes to.  A child never talks to
+another child directly; a :class:`~repro.scp.effects.Send` becomes a pickled
 :class:`~repro.scp.serialization.Envelope` on the outbox, the parent expands
 the logical destination to the live replicas and deposits the envelope on
-each replica's private ``inbox`` queue.  Inside the child the inbox feeds the
-ordinary :class:`~repro.scp.channel.Mailbox`, so port filtering and duplicate
+each replica's slot ``inbox``.  Inside the child the inbox feeds the ordinary
+:class:`~repro.scp.channel.Mailbox`, so port filtering and duplicate
 suppression behave exactly as on the other backends.
+
+Pool lifecycle
+--------------
+``ProcessBackend(pool=...)`` borrows slots from a pool the caller keeps alive
+across runs (:class:`repro.api.session.FusionSession` does).  Without one,
+the backend creates a private pool when :meth:`ProcessBackend.run` starts
+and closes it when the run ends, so a backend that is built but never run
+owns no process.  Either way a run acquires one slot per replica; when a
+replica's record is retired -- at the end of the run, or when
+:meth:`ProcessBackend.spawn_thread` replaces it -- its slot is released to
+the pool if its program provably ended, and discarded otherwise.
 
 Bulk problem data is *not* pickled: thread parameters holding a
 :class:`~repro.data.cube.HyperspectralCube` are transparently converted to
@@ -32,7 +45,7 @@ crash policy), and a process that dies without reporting -- a hard kill, an
 out-of-memory kill, a segfault -- is detected by the parent's liveness sweep.
 Death notifications feed the same ``subscribe_thread_death`` /
 ``spawn_thread`` control interface the resiliency layer drives on the other
-backends, so failed workers can be regenerated as fresh processes mid-run.
+backends, so failed workers can be regenerated mid-run.
 """
 
 from __future__ import annotations
@@ -46,182 +59,33 @@ from typing import Any, Callable, Dict, List, Optional
 from ..cluster.metrics import MetricsCollector
 from ..data.shared import share_cube_params
 from ..logging_utils import get_logger
-from .channel import Mailbox
-from .effects import Checkpoint, Compute, GetTime, Probe, Recv, Send, Sleep
-from .errors import (ReceiveTimeout, RuntimeStateError, SCPError,
-                     ThreadCrashedError)
+from .errors import RuntimeStateError, SCPError, ThreadCrashedError
 from .group import Router
-from .runtime import Application, Backend, Context, RunResult, ThreadOutcome
+from .pool import _ASSIGN, _SHUTDOWN, ProcessPool, _PoolSlot
+from .runtime import Application, Backend, RunResult, ThreadOutcome
 from .serialization import Envelope
 from .thread import ThreadSpec, physical_name
 
 _LOG = get_logger("scp.process")
 
-#: Sentinel deposited on a child's inbox to request an orderly exit.
-_SHUTDOWN = "__scp_shutdown__"
-
 #: Seconds a process may be dead without a terminal record before the parent
 #: declares it crashed (gives the queue feeder time to flush a late report).
 _DEATH_CONFIRM_SECONDS = 0.25
 
-#: Spacing of the duplicate-suppression sequence ranges of successive
-#: incarnations, so a regenerated replica's un-keyed messages are never
-#: mistaken for its predecessor's.
-_INCARNATION_SEQ_STRIDE = 1_000_000
-
-
-class _ShutdownSignal(Exception):
-    """Internal control flow: the parent asked this child to exit."""
-
-
-# ---------------------------------------------------------------------------
-# Child-process side
-# ---------------------------------------------------------------------------
-
-def _interpret_program(logical: str, replica: int, physical_id: str, node: str,
-                       program: Callable, params: Dict[str, Any], restored: Any,
-                       incarnation: int, inbox, outbox, epoch: float) -> None:
-    """Interpret one thread program inside a worker process.
-
-    Everything observable leaves through ``outbox`` as small tagged tuples:
-    ``("send", pid, envelope)``, ``("phase", pid, node, name, seconds)``,
-    ``("checkpoint", logical, state)``, ``("finished", pid, result, dups)``
-    and ``("crashed", pid, message)``.
-
-    Returns normally both when the program runs to completion and when the
-    parent requests a shutdown mid-program, so a long-lived pool worker
-    (:mod:`repro.scp.pool`) can call this in a loop, one program per run.
-    """
-    ctx = Context(name=logical, replica=replica, physical_id=physical_id,
-                  node=node, params=dict(params), restored=restored,
-                  incarnation=incarnation)
-    mailbox = Mailbox(physical_id, dedup=True, thread_safe=False)
-    send_seq = incarnation * _INCARNATION_SEQ_STRIDE
-
-    def now() -> float:
-        # Monotonic (RPL004): envelope timestamps are run-relative
-        # *elapsed* time shared with the parent's epoch; the wall clock
-        # would skew them under an NTP step mid-run.  CLOCK_MONOTONIC is
-        # system-wide, so parent/child differences stay meaningful.
-        return time.monotonic() - epoch
-
-    def absorb(item: Any) -> None:
-        if isinstance(item, str) and item == _SHUTDOWN:
-            raise _ShutdownSignal()
-        mailbox.deposit(item)
-
-    def drain_nonblocking() -> None:
-        while True:
-            try:
-                item = inbox.get_nowait()
-            except queue_module.Empty:
-                return
-            absorb(item)
-
-    def do_recv(effect: Recv):
-        deadline = (None if effect.timeout is None
-                    else time.monotonic() + effect.timeout)
-        while True:
-            envelope = mailbox.try_consume(effect.port)
-            if envelope is not None:
-                envelope.deliver_time = now()
-                return envelope
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                raise ReceiveTimeout(physical_id, effect.port, effect.timeout or 0.0)
-            wait = 0.5 if remaining is None else min(remaining, 0.5)
-            try:
-                item = inbox.get(timeout=wait)
-            except queue_module.Empty:
-                continue
-            absorb(item)
-
-    def execute(effect):
-        nonlocal send_seq
-        if isinstance(effect, Compute):
-            start = time.perf_counter()
-            result = effect.fn(*effect.args, **effect.kwargs)
-            outbox.put(("phase", physical_id, node, effect.phase,
-                        time.perf_counter() - start))
-            return result
-        if isinstance(effect, Send):
-            send_seq += 1
-            envelope = Envelope(src=logical, dst=effect.dst, port=effect.port,
-                                payload=effect.payload, seq=send_seq,
-                                key=effect.key, src_physical=physical_id,
-                                urgent=effect.urgent, send_time=now())
-            outbox.put(("send", physical_id, envelope))
-            return None
-        if isinstance(effect, Recv):
-            return do_recv(effect)
-        if isinstance(effect, Probe):
-            drain_nonblocking()
-            return mailbox.has_matching(effect.port)
-        if isinstance(effect, Sleep):
-            time.sleep(max(0.0, effect.seconds))
-            return None
-        if isinstance(effect, Checkpoint):
-            outbox.put(("checkpoint", logical, effect.state))
-            return None
-        if isinstance(effect, GetTime):
-            return now()
-        raise SCPError(f"program yielded a non-effect object: {effect!r}")
-
-    gen = program(ctx, **params)
-    value: Any = None
-    throw: Optional[BaseException] = None
-    try:
-        while True:
-            try:
-                if throw is not None:
-                    exc, throw = throw, None
-                    effect = gen.throw(exc)
-                else:
-                    effect = gen.send(value)
-            except StopIteration as stop:
-                outbox.put(("finished", physical_id, stop.value,
-                            mailbox.suppressed_duplicates))
-                return
-            try:
-                value = execute(effect)
-            except _ShutdownSignal:
-                raise
-            except ReceiveTimeout as err:
-                value, throw = None, err
-    except _ShutdownSignal:
-        return
-    except ReceiveTimeout as err:
-        outbox.put(("crashed", physical_id, f"uncaught ReceiveTimeout: {err}"))
-    except Exception as err:  # noqa: BLE001 - program errors are reported
-        outbox.put(("crashed", physical_id, repr(err)))
-
-
-def _child_main(logical: str, replica: int, physical_id: str, node: str,
-                program: Callable, params: Dict[str, Any], restored: Any,
-                incarnation: int, inbox, outbox, epoch: float) -> None:
-    """Entry point of a single-program worker process."""
-    _interpret_program(logical, replica, physical_id, node, program, params,
-                       restored, incarnation, inbox, outbox, epoch)
-
-
-# ---------------------------------------------------------------------------
-# Parent-process side
-# ---------------------------------------------------------------------------
 
 class _ProcessTask:
     """Parent-side record of one physical replica."""
 
     def __init__(self, spec: ThreadSpec, replica: int, physical_id: str,
-                 incarnation: int) -> None:
+                 incarnation: int, restored: Any) -> None:
         self.spec = spec
         self.logical = spec.name
         self.replica = replica
         self.physical_id = physical_id
         self.incarnation = incarnation
         self.daemon = spec.daemon
-        self.process: Optional[multiprocessing.process.BaseProcess] = None
-        self.inbox = None
-        self.restored: Any = None
+        self.slot: Optional[_PoolSlot] = None
+        self.restored = restored
         self.status = "ready"
         self.result: Any = None
         self.error: Optional[str] = None
@@ -231,13 +95,19 @@ class _ProcessTask:
     def alive(self) -> bool:
         return self.status in ("ready", "running")
 
+    @property
+    def process(self) -> Optional[multiprocessing.process.BaseProcess]:
+        """The slot process running this replica (``None`` once returned)."""
+        return self.slot.process if self.slot is not None else None
+
 
 class ProcessBackend(Backend):
     """Multi-process execution backend with shared-memory data placement."""
 
     kind = "process"
 
-    def __init__(self, *, crash_policy: str = "raise",
+    def __init__(self, *, pool: Optional[ProcessPool] = None,
+                 crash_policy: str = "raise",
                  default_timeout: Optional[float] = 300.0,
                  start_method: str = "spawn",
                  shutdown_grace: float = 5.0) -> None:
@@ -245,6 +115,10 @@ class ProcessBackend(Backend):
 
         Parameters
         ----------
+        pool:
+            Pool whose slots the run borrows; it stays open afterwards.
+            When ``None`` the run creates a private pool and closes it when
+            the run ends.
         crash_policy:
             ``"raise"`` re-raises the first program crash as
             :class:`ThreadCrashedError` after the run; ``"record"`` only
@@ -253,9 +127,10 @@ class ProcessBackend(Backend):
             Wall-clock safety limit (seconds) applied to :meth:`run` unless
             overridden; prevents a wedged run from hanging forever.
         start_method:
-            ``multiprocessing`` start method.  ``"spawn"`` (default) is
-            portable and immune to fork-with-threads hazards; ``"fork"``
-            starts faster on Linux.
+            ``multiprocessing`` start method of the private pool (a
+            borrowed pool keeps its own).  ``"spawn"`` (default) is portable
+            and immune to fork-with-threads hazards; ``"fork"`` starts
+            faster on Linux.
         shutdown_grace:
             Seconds stragglers are given to exit on their own once the
             ``until_thread`` has finished, before being shut down.
@@ -264,11 +139,12 @@ class ProcessBackend(Backend):
             raise ValueError("crash_policy must be 'raise' or 'record'")
         self.crash_policy = crash_policy
         self.default_timeout = default_timeout
-        self.start_method = start_method
+        self.start_method = pool.start_method if pool is not None else start_method
         self.shutdown_grace = shutdown_grace
         self.router = Router()
         self.collector = MetricsCollector()
-        self._mp = multiprocessing.get_context(start_method)
+        self._pool = pool
+        self._owns_pool = pool is None
         self._tasks: Dict[str, _ProcessTask] = {}
         self._lock = threading.RLock()
         self._dead_letters: Dict[str, List[Envelope]] = {}
@@ -276,7 +152,6 @@ class ProcessBackend(Backend):
         self._checkpoints: Dict[str, Any] = {}
         self._shared_params: Dict[str, Dict[str, Any]] = {}
         self._shared_cubes: List[Any] = []
-        self._outbox = None
         self._messages = 0
         self._bytes = 0
         self._epoch = 0.0
@@ -285,6 +160,12 @@ class ProcessBackend(Backend):
         self._ran = False
 
     # --------------------------------------------------------------- queries
+    @property
+    def pool(self) -> Optional[ProcessPool]:
+        """The caller's pool this backend borrows from (``None`` when each
+        run uses a private pool)."""
+        return None if self._owns_pool else self._pool
+
     @property
     def now(self) -> float:
         """Seconds since the run started (wall clock)."""
@@ -317,7 +198,15 @@ class ProcessBackend(Backend):
         app.validate()
         self._app = app
         timeout = timeout if timeout is not None else self.default_timeout
-        self._outbox = self._make_outbox()
+        if self._owns_pool:
+            self._pool = ProcessPool(start_method=self.start_method)
+        # Drop anything a previous run on this pool may have left behind so
+        # its records cannot bleed into this one.
+        while True:
+            try:
+                self._pool.outbox.get_nowait()
+            except queue_module.Empty:
+                break
         self._epoch = time.monotonic()  # run-relative timestamps (RPL004)
         self._start_time = time.perf_counter()
 
@@ -326,8 +215,8 @@ class ProcessBackend(Backend):
                 tasks = [self._create_task(spec, replica, restored=None, incarnation=0)
                          for spec in app.specs
                          for replica in range(spec.replicas)]
-            for task in tasks:
-                self._start_task(task)
+                for task in tasks:
+                    self._start_task(task)
             deadline = (time.perf_counter() + timeout) if timeout is not None else None
             self._event_loop(until_thread, deadline)
             elapsed = time.perf_counter() - self._start_time
@@ -390,8 +279,8 @@ class ProcessBackend(Backend):
         block = block_seconds > 0
         while True:
             try:
-                record = (self._outbox.get(timeout=block_seconds) if block
-                          else self._outbox.get_nowait())
+                record = (self._pool.outbox.get(timeout=block_seconds) if block
+                          else self._pool.outbox.get_nowait())
             except queue_module.Empty:
                 return handled
             block = False  # only the first get may block
@@ -439,9 +328,10 @@ class ProcessBackend(Backend):
                 return
             self._messages += len(targets)
             self._bytes += envelope.nbytes * len(targets)
-            inboxes = [self._tasks[pid].inbox for pid in targets]
-        for inbox in inboxes:
-            inbox.put(envelope)
+            # Under the lock: a kill retires a task here before it discards
+            # (and closes) the slot's inbox.
+            for pid in targets:
+                self._tasks[pid].slot.inbox.put(envelope)
 
     def _sweep_dead_processes(self) -> None:
         """Detect replicas whose process died without a terminal report."""
@@ -468,52 +358,57 @@ class ProcessBackend(Backend):
             self._crash(pid, f"process died without reporting (exit code {exitcode})")
 
     # --------------------------------------------------------- task plumbing
-    def _make_outbox(self):
-        """Create the queue children report through (one per run here; the
-        pooled backend reuses its pool's long-lived outbox instead)."""
-        return self._mp.Queue()
-
     def _create_task(self, spec: ThreadSpec, replica: int, *, restored: Any,
                      incarnation: int) -> _ProcessTask:
         pid = physical_name(spec.name, replica)
-        if pid in self._tasks and self._tasks[pid].alive:
+        previous = self._tasks.get(pid)
+        if previous is not None and previous.alive:
             raise RuntimeStateError(f"physical thread {pid!r} already exists and is alive")
         if spec.name not in self._shared_params:
             params, created = share_cube_params(spec.params)
             self._shared_params[spec.name] = params
             self._shared_cubes.extend(created)
-        task = _ProcessTask(spec, replica, pid, incarnation)
-        self._provision_task(task, restored)
+        if previous is not None:
+            # The record is about to be overwritten, and with it the only
+            # handle on its slot: hand the slot back now.
+            self._return_slot(previous)
+        task = _ProcessTask(spec, replica, pid, incarnation, restored)
+        task.slot = self._pool.acquire()
         self._tasks[pid] = task
         self.router.register(spec.name, pid)
         return task
 
-    def _flush_dead_letters(self, task: _ProcessTask) -> None:
-        """Replay buffered envelopes for the task's logical thread.
-
-        Called by :meth:`_start_task` *after* the program is attached to its
-        execution vehicle: a pool slot's idle loop discards anything that
-        arrives before its assignment, so the order matters there.
-        """
-        for envelope in self._dead_letters.pop(task.logical, []):
-            task.inbox.put(envelope)
-
-    def _provision_task(self, task: _ProcessTask, restored: Any) -> None:
-        """Attach an inbox and an execution vehicle (a fresh process here,
-        a borrowed pool slot in the pooled subclass) to ``task``."""
-        task.restored = restored
-        task.inbox = self._mp.Queue()
-        task.process = self._mp.Process(
-            target=_child_main,
-            args=(task.logical, task.replica, task.physical_id, task.physical_id,
-                  task.spec.program, self._shared_params[task.logical], restored,
-                  task.incarnation, task.inbox, self._outbox, self._epoch),
-            name=task.physical_id, daemon=True)
-
     def _start_task(self, task: _ProcessTask) -> None:
+        """Assign the program to the task's slot, then replay parked envelopes.
+
+        The slot's idle loop drops anything that arrives before the
+        assignment, so callers hold the lock from :meth:`_create_task` on.
+        """
         task.status = "running"
-        task.process.start()
-        self._flush_dead_letters(task)
+        task.slot.inbox.put((_ASSIGN, task.logical, task.replica, task.physical_id,
+                             task.physical_id, task.spec.program,
+                             self._shared_params[task.logical], task.restored,
+                             task.incarnation, self._epoch))
+        for envelope in self._dead_letters.pop(task.logical, []):
+            task.slot.inbox.put(envelope)
+
+    def _return_slot(self, task: _ProcessTask) -> None:
+        """Give a retired record's slot back to the pool.
+
+        Only a slot whose program provably ended -- a ``finished`` report,
+        or a ``crashed`` report from a program error the child caught (the
+        child is back in its idle loop either way) -- is released.  A slot
+        whose process died, or that was shut down mid-program and may still
+        be executing, is discarded so the pool never hands out a slot with
+        an old program attached.
+        """
+        slot, task.slot = task.slot, None
+        if slot is None:
+            return
+        if task.status in ("finished", "crashed") and slot.alive:
+            self._pool.release(slot)
+        else:
+            self._pool.discard(slot)
 
     # ----------------------------------------------------------- termination
     def _crash(self, pid: str, message: str) -> None:
@@ -541,19 +436,18 @@ class ProcessBackend(Backend):
             self.router.unregister(physical_id)
             if reason == "killed":
                 self.collector.increment("failures_injected")
-            process = task.process
             logical = task.logical
-        if process is not None and process.is_alive():
-            if reason == "killed":
-                process.kill()  # SIGKILL: indistinguishable from a real crash
-            else:
-                try:
-                    task.inbox.put(_SHUTDOWN)
-                except Exception:  # pragma: no cover - queue already closed
-                    pass
-                process.join(timeout=1.0)
-                if process.is_alive():
-                    process.kill()
+        if reason == "shutdown":
+            # Ask the child to abandon the program and return to idle; the
+            # slot itself is discarded when the record retires (it may
+            # comply arbitrarily late, so it must not be reused).
+            try:
+                task.slot.inbox.put(_SHUTDOWN)
+            except Exception:  # pragma: no cover - queue already closed
+                pass
+        else:
+            # Fault injection / timeout: SIGKILL the slot for real.
+            self._return_slot(task)
         if reason == "killed":
             for callback in self._death_callbacks:
                 callback(physical_id, logical, reason)
@@ -561,12 +455,12 @@ class ProcessBackend(Backend):
 
     def spawn_thread(self, spec: ThreadSpec, *, replica: int, node: Optional[str] = None,
                      restored: Any = None, incarnation: int = 1) -> str:
-        """Regenerate a replica as a brand-new process while the run goes on."""
+        """Regenerate a replica on a pool slot while the run goes on."""
         with self._lock:
             task = self._create_task(spec, replica, restored=restored,
                                      incarnation=incarnation)
             self.collector.increment("replicas_regenerated")
-        self._start_task(task)
+            self._start_task(task)
         return task.physical_id
 
     # ---------------------------------------------------------------- result
@@ -601,23 +495,12 @@ class ProcessBackend(Backend):
         with self._lock:
             tasks = list(self._tasks.values())
         for task in tasks:
-            process = task.process
-            if process is None:
-                continue
-            process.join(timeout=1.0)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=1.0)
-        for task in tasks:
-            if task.inbox is not None:
-                task.inbox.cancel_join_thread()
-                task.inbox.close()
-        if self._outbox is not None:
-            self._outbox.cancel_join_thread()
-            self._outbox.close()
+            self._return_slot(task)
         for cube in self._shared_cubes:
             cube.close()
         self._shared_cubes.clear()
+        if self._owns_pool and self._pool is not None:
+            self._pool.close()
 
 
 __all__ = ["ProcessBackend"]

@@ -1,9 +1,9 @@
 """Backend registry: named execution backends with spec parsing.
 
 Historically every caller that wanted an execution backend went through its
-own ``if backend == "sim": ... elif backend == "local": ...`` ladder
-(`DistributedPCT.make_backend`, `ResilientPCT.make_backend`, the CLI).  This
-module replaces that string dispatch with a single registry:
+own ``if backend == "sim": ... elif backend == "local": ...`` ladder (the
+distributed and resilient engines, the CLI).  This module replaces that
+string dispatch with a single registry:
 
 * :func:`register_backend` -- decorator adding a named backend factory,
 * :class:`BackendSpec` -- parsed form of a spec string such as
@@ -24,7 +24,7 @@ backend    variants                                 meaning
 =========  =======================================  =====================
 sim        sun-ultra (default), switched, smp       simulated cluster preset
 local      --                                       host threads (GIL-bound)
-process    spawn (default), fork, forkserver        multiprocessing start method
+process    spawn (default), fork, forkserver        start method of the run's pool
 socket     --                                       node-agent workers over TCP
                                                     (pipeline engine only)
 =========  =======================================  =====================
@@ -244,6 +244,7 @@ def _make_process_backend(spec: BackendSpec, context: BackendContext) -> Process
     if method not in multiprocessing.get_all_start_methods():
         raise ValueError(f"start method {method!r} is not available on this platform; "
                          f"available: {', '.join(multiprocessing.get_all_start_methods())}")
+    # Cheap to build eagerly: the private pool is created when run() starts.
     return ProcessBackend(start_method=method)
 
 

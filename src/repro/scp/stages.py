@@ -22,9 +22,9 @@ This module provides that layer on top of the worker-transport seam
   ``workers`` tasks are in flight and further ``submit`` calls block,
   which is what bounds the memory of a streaming fusion to O(tiles in
   flight) instead of O(cube);
-* :class:`PoolStageExecutor` / :class:`ThreadStageExecutor` -- the
-  historical entry points, now thin shims binding the unified executor
-  to the ``forked-process`` and ``inprocess`` transports;
+* :class:`PoolStageExecutor` -- the historical entry point of the
+  ``process:N`` path, a thin binding of the unified executor to the
+  ``forked-process`` transport over a :class:`~repro.scp.pool.ProcessPool`;
 * :class:`StageAccountingMixin` -- the kill-request bookkeeping and
   per-stage observability counters every executor shares (one copy,
   identical semantics on threads and processes);
@@ -82,8 +82,7 @@ from .serialization import (ERROR_SUFFIX as _ERROR_SUFFIX,
                             commit_spool_file as _commit_spool_file,
                             wake_spool as _wake_spool)
 from .transport import (STAGE_ASSIGN as _STAGE_ASSIGN, CommittedResult,
-                        ForkedProcessTransport, InProcessTransport, TaskFrame,
-                        WorkerTransport)
+                        ForkedProcessTransport, TaskFrame, WorkerTransport)
 
 _LOG = get_logger("scp.stages")
 
@@ -215,17 +214,10 @@ class _PendingStage:
         self.dispatched_at: float = 0.0
 
 
-def _validate_executor_params(workers: int, max_retries: int) -> None:
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if max_retries < 0:
-        raise ValueError("max_retries must be >= 0")
-
-
 class StageAccountingMixin:
     """Kill-request accounting and per-stage observability counters.
 
-    ``PoolStageExecutor`` and ``ThreadStageExecutor`` used to carry their
+    The process- and thread-backed stage executors used to carry their
     own (divergent) copies of this bookkeeping; it now lives in exactly
     one place so every executor -- whatever its transport -- exposes
     identical semantics:
@@ -365,7 +357,10 @@ class TransportStageExecutor(StageAccountingMixin):
 
     def __init__(self, transport: WorkerTransport, *, workers: int = 4,
                  max_retries: int = 2) -> None:
-        _validate_executor_params(workers, max_retries)
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        if max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
         self._transport = transport
         self._workers = workers
         self._max_retries = max_retries
@@ -662,7 +657,7 @@ class PoolStageExecutor(TransportStageExecutor):
     pool:
         The slot pool tasks borrow from.  The executor owns the pool's
         spool transport for its lifetime; a pool must not serve a
-        :class:`~repro.scp.pool.PooledProcessBackend` run and a live
+        :class:`~repro.scp.process_backend.ProcessBackend` run and a live
         stage executor at the same time -- the session layer guarantees
         this by pinning one engine per session.
     owns_pool:
@@ -673,28 +668,10 @@ class PoolStageExecutor(TransportStageExecutor):
 
     def __init__(self, pool, *, workers: int = 4, max_retries: int = 2,
                  owns_pool: bool = False) -> None:
-        _validate_executor_params(workers, max_retries)
         super().__init__(ForkedProcessTransport(pool, owns_pool=owns_pool),
                          workers=workers, max_retries=max_retries)
 
 
-class ThreadStageExecutor(TransportStageExecutor):
-    """The stage-executor interface on host threads.
-
-    Used by the ``local`` and ``sim`` backend specs: no processes, no
-    pickling, genuine overlap only where numpy releases the GIL -- but the
-    exact same futures-and-backpressure contract, and bit-identical results
-    (stage tasks are pure functions).  Now a thin binding of
-    :class:`TransportStageExecutor` to an
-    :class:`~repro.scp.transport.InProcessTransport`.
-    """
-
-    def __init__(self, *, workers: int = 4) -> None:
-        _validate_executor_params(workers, 0)
-        super().__init__(InProcessTransport(workers=workers), workers=workers,
-                         max_retries=0)
-
-
 __all__ = ["PoolStageExecutor", "StageAccountingMixin", "StageCrashError",
-           "StageError", "ThreadStageExecutor", "ThroughputEWMA",
+           "StageError", "ThroughputEWMA",
            "TransportStageExecutor", "try_run_stage"]

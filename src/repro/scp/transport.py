@@ -3,8 +3,8 @@
 Before this module existed, worker plumbing lived in three divergent
 copies: :class:`~repro.scp.pool.ProcessPool`'s mp-queue slot mailboxes,
 the spool-file commit/sweep machinery inside ``PoolStageExecutor``
-(duplicated almost wholesale in ``ThreadStageExecutor``), and the
-process backend's private child-main.  Every new execution substrate --
+(duplicated almost wholesale in the thread-backed stage executor), and
+the process backend's private child-main.  Every new execution substrate --
 the ROADMAP's ``cluster:host1,host2`` item most of all -- would have
 meant a fourth copy.
 
@@ -326,7 +326,7 @@ class InProcessTransport(WorkerTransport):
     and no serialisation: a finished task appends its outcome to an
     in-memory queue and wakes the router, so ``payload_nbytes`` stays 0
     and the executor's payload accounting stays empty -- exactly the
-    observable contract the old ``ThreadStageExecutor`` had.
+    observable contract of the thread-backed stage executor it replaced.
     """
 
     kind = "inprocess"

@@ -9,13 +9,18 @@ bounded safety timeout.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.experiments.measured import default_start_method
+from repro.scp.pool import ProcessPool
 from repro.scp.process_backend import ProcessBackend
 
 FAST_START = default_start_method()
 
 
-def fast_backend(**kwargs) -> ProcessBackend:
+def fast_backend(pool: Optional[ProcessPool] = None, **kwargs) -> ProcessBackend:
+    """A backend borrowing ``pool``'s slots, or owning a private pool
+    started with :data:`FAST_START` when ``pool`` is ``None``."""
     kwargs.setdefault("start_method", FAST_START)
     kwargs.setdefault("default_timeout", 120.0)
-    return ProcessBackend(**kwargs)
+    return ProcessBackend(pool=pool, **kwargs)

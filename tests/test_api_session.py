@@ -8,8 +8,9 @@ import pytest
 
 from repro import fuse, open_session
 from repro.data.shared import SharedCube
-from repro.scp.pool import PooledProcessBackend, ProcessPool
 from repro.scp.errors import RuntimeStateError
+from repro.scp.pool import ProcessPool
+from repro.scp.process_backend import ProcessBackend
 from repro.scp.runtime import Application
 from repro.scp.thread import ThreadSpec
 
@@ -77,15 +78,15 @@ class TestPooledBackendReuse:
         with ProcessPool() as pool:
             for _ in range(3):
                 report = fuse(tiny_cube, engine="distributed", config=fast_config,
-                              backend=PooledProcessBackend(pool))
+                              backend=ProcessBackend(pool=pool))
                 np.testing.assert_array_equal(report.composite, reference.composite)
-                assert report.backend == "pooled-process"
+                assert report.backend == "process"
             # manager + 2 workers, spawned exactly once for all three runs.
             assert pool.spawned_processes == 3
 
     def test_backend_instance_is_single_use(self, tiny_cube, fast_config):
         with ProcessPool() as pool:
-            backend = PooledProcessBackend(pool)
+            backend = ProcessBackend(pool=pool)
             fuse(tiny_cube, engine="distributed", config=fast_config, backend=backend)
             with pytest.raises(RuntimeStateError, match="single use"):
                 fuse(tiny_cube, engine="distributed", config=fast_config,
@@ -99,7 +100,7 @@ class TestPooledBackendReuse:
         app.add_thread("sender", _late_sender_program,
                        params={"target": "ghost", "payload": 7, "linger": 1.5})
         with ProcessPool() as pool:
-            backend = PooledProcessBackend(pool)
+            backend = ProcessBackend(pool=pool)
 
             spawned = []
 
@@ -348,9 +349,10 @@ class TestStreamingSession:
                 list(session.fuse_stream([tiny_cube], max_inflight=8))
 
     def test_thread_executor_close_rejects_submits_with_typed_error(self):
-        from repro.scp.stages import StageError, ThreadStageExecutor
+        from repro.scp.stages import StageError, TransportStageExecutor
+        from repro.scp.transport import InProcessTransport
 
-        executor = ThreadStageExecutor(workers=1)
+        executor = TransportStageExecutor(InProcessTransport(workers=1), workers=1)
         blocker = executor.submit("screen", time.sleep, 0.5)
         closer = threading.Thread(target=executor.close)
         closer.start()  # blocks on the running task; the flag is set first

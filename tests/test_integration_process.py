@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from _process_utils import fast_backend
+from repro import fuse
 from repro.config import FusionConfig, PartitionConfig, ResilienceConfig
-from repro.core.distributed import MANAGER_NAME, DistributedPCT
+from repro.core.distributed import MANAGER_NAME, _DistributedPCT
 from repro.core.pipeline import SpectralScreeningPCT
-from repro.core.resilient import ResilientPCT
 
 
 def make_config(workers=2, subcubes=4):
@@ -26,7 +26,7 @@ def make_config(workers=2, subcubes=4):
 def test_matches_sequential_reference_exactly(tiny_cube):
     config = make_config(workers=2, subcubes=4)
     sequential = SpectralScreeningPCT(config).fuse(tiny_cube)
-    outcome = DistributedPCT(config, backend=fast_backend()).fuse(tiny_cube)
+    outcome = fuse(tiny_cube, engine="distributed", config=config, backend=fast_backend())
     np.testing.assert_array_equal(outcome.result.composite, sequential.composite)
     np.testing.assert_array_equal(outcome.result.components, sequential.components)
     assert outcome.result.unique_set_size == sequential.unique_set_size
@@ -37,14 +37,14 @@ def test_matches_every_other_backend(small_cube):
     config = make_config(workers=3, subcubes=6)
     sequential = SpectralScreeningPCT(config).fuse(small_cube)
     for backend in ("sim", "local", fast_backend()):
-        outcome = DistributedPCT(config, backend=backend).fuse(small_cube)
+        outcome = fuse(small_cube, engine="distributed", config=config, backend=backend)
         np.testing.assert_array_equal(outcome.result.composite, sequential.composite)
         np.testing.assert_array_equal(outcome.result.components, sequential.components)
 
 
 def test_measured_metrics_are_wall_clock(tiny_cube):
     config = make_config(workers=2, subcubes=4)
-    outcome = DistributedPCT(config, backend=fast_backend()).fuse(tiny_cube)
+    outcome = fuse(tiny_cube, engine="distributed", config=config, backend=fast_backend())
     metrics = outcome.metrics
     assert metrics.backend == "process"
     assert metrics.workers == 2
@@ -68,7 +68,7 @@ def test_hard_process_death_is_detected_and_survivable(small_cube):
 
     config = make_config(workers=2, subcubes=8)
     sequential = SpectralScreeningPCT(config).fuse(small_cube)
-    engine = DistributedPCT(config, backend="process", reassign_timeout=1.0)
+    engine = _DistributedPCT(config, backend="process", reassign_timeout=1.0)
     backend = fast_backend(crash_policy="record", shutdown_grace=0.5)
     app = engine.build_application(small_cube)
 
@@ -105,7 +105,7 @@ def test_hard_process_death_is_detected_and_survivable(small_cube):
 def test_killed_worker_is_regenerated_and_parity_holds(small_cube):
     config = make_config(workers=2, subcubes=8)
     sequential = SpectralScreeningPCT(config).fuse(small_cube)
-    engine = DistributedPCT(config, backend="process")
+    engine = _DistributedPCT(config, backend="process")
     backend = fast_backend(crash_policy="record")
     app = engine.build_application(small_cube)
 
@@ -150,7 +150,7 @@ def test_resilient_pct_on_process_backend(tiny_cube):
     config = make_config(workers=2, subcubes=4).with_resilience(
         ResilienceConfig(replication_level=2))
     sequential = SpectralScreeningPCT(config).fuse(tiny_cube)
-    outcome = ResilientPCT(config, backend="process").fuse(tiny_cube)
+    outcome = fuse(tiny_cube, engine="resilient", config=config, backend="process")
     np.testing.assert_array_equal(outcome.result.composite, sequential.composite)
     assert outcome.metrics.replication_level == 2
     assert outcome.result.metadata["mode"] == "resilient"

@@ -4,19 +4,29 @@ The thread programs used here live at module level so they stay picklable
 under the ``spawn`` start method.  Most tests use ``fork`` where the platform
 offers it -- an order of magnitude faster to start -- and one test explicitly
 exercises the portable ``spawn`` path.
+
+Every run executes on :class:`~repro.scp.pool.ProcessPool` slots.  The
+generic runtime tests run twice: at module level on backends that own a
+private pool per run (the ``make_backend`` fixture), and again in
+:class:`TestBorrowedPool` on backends borrowing one long-lived pool, the way
+sessions run them.
 """
 
+import functools
+import multiprocessing
 import threading
 import time
 
 import pytest
 
-from _process_utils import fast_backend
+from _process_utils import FAST_START, fast_backend
 from repro.data.shared import SharedCube
 from repro.scp.effects import Compute, Recv, Send, Sleep
 from repro.scp.errors import (ReceiveTimeout, RuntimeStateError, SCPError,
                               ThreadCrashedError)
+from repro.scp.pool import ProcessPool
 from repro.scp.process_backend import ProcessBackend
+from repro.scp.registry import create_backend
 from repro.scp.runtime import Application
 
 
@@ -76,6 +86,13 @@ def idler_program(ctx):
     return "woke"
 
 
+def flaky_program(ctx):
+    yield Sleep(0.01)
+    if ctx.incarnation == 0:
+        raise ValueError("first incarnation fails")
+    return ctx.incarnation
+
+
 def cube_sum_program(ctx, *, cube):
     checksum = yield Compute(fn=lambda c: float(c.data.sum()), args=(cube,),
                              phase="checksum")
@@ -83,14 +100,20 @@ def cube_sum_program(ctx, *, cube):
 
 
 # ---------------------------------------------------------------------------
-# tests
+# generic runtime tests (run on an owned and on a borrowed pool)
 # ---------------------------------------------------------------------------
 
-def test_ping_pong_roundtrip():
+@pytest.fixture
+def make_backend():
+    """Backends that create a private pool per run and close it after."""
+    return fast_backend
+
+
+def test_ping_pong_roundtrip(make_backend):
     app = Application(name="pingpong")
     app.add_thread("ping", ping_program, params={"peer": "pong", "rounds": 3})
     app.add_thread("pong", pong_program, params={"peer": "ping", "rounds": 3})
-    run = fast_backend().run(app)
+    run = make_backend().run(app)
     assert run.return_of("ping") == [0, 10, 20]
     assert run.return_of("pong") == "pong-done"
     assert run.metrics.backend == "process"
@@ -99,80 +122,80 @@ def test_ping_pong_roundtrip():
     assert run.elapsed_seconds > 0
 
 
-def test_compute_records_phase_metrics():
+def test_compute_records_phase_metrics(make_backend):
     app = Application(name="adder")
     app.add_thread("adder", adder_program, params={"values": [1, 2, 3, 4]})
-    run = fast_backend().run(app)
+    run = make_backend().run(app)
     assert run.return_of("adder") == 10
     assert "adding" in run.metrics.phase_seconds
     assert run.metrics.phase_invocations["adding"] == 1
 
 
-def test_program_crash_raises_thread_crashed_error():
+def test_program_crash_raises_thread_crashed_error(make_backend):
     app = Application(name="crash")
     app.add_thread("crasher", crasher_program)
     with pytest.raises(ThreadCrashedError):
-        fast_backend().run(app)
+        make_backend().run(app)
 
 
-def test_program_crash_recorded_under_record_policy():
+def test_program_crash_recorded_under_record_policy(make_backend):
     app = Application(name="crash")
     app.add_thread("crasher", crasher_program)
-    run = fast_backend(crash_policy="record").run(app)
+    run = make_backend(crash_policy="record").run(app)
     assert run.crashed_threads() == ["crasher#0"]
     assert "boom" in run.outcomes["crasher#0"].error
 
 
-def test_receive_timeout_is_catchable_inside_programs():
+def test_receive_timeout_is_catchable_inside_programs(make_backend):
     app = Application(name="patient")
     app.add_thread("patient", patient_program)
-    run = fast_backend().run(app)
+    run = make_backend().run(app)
     assert run.return_of("patient") == "timed_out"
 
 
-def test_until_thread_shuts_down_stragglers():
+def test_until_thread_shuts_down_stragglers(make_backend):
     app = Application(name="untilthread")
     app.add_thread("main", adder_program, params={"values": [1, 1]})
     app.add_thread("idler", idler_program)
-    backend = fast_backend(shutdown_grace=0.2)
+    backend = make_backend(shutdown_grace=0.2)
     run = backend.run(app, until_thread="main")
     assert run.return_of("main") == 2
     assert run.outcomes["idler#0"].status == "killed"
 
 
-def test_backends_are_single_use():
+def test_backends_are_single_use(make_backend):
     app = Application(name="once")
     app.add_thread("adder", adder_program, params={"values": [1]})
-    backend = fast_backend()
+    backend = make_backend()
     backend.run(app)
     with pytest.raises(RuntimeStateError):
         backend.run(app)
 
 
-def test_cube_params_are_shared_not_pickled(tiny_cube):
+def test_cube_params_are_shared_not_pickled(tiny_cube, make_backend):
     app = Application(name="cube")
     app.add_thread("summer", cube_sum_program, params={"cube": tiny_cube})
-    run = fast_backend().run(app)
+    run = make_backend().run(app)
     result = run.return_of("summer")
     assert result["type"] == "SharedCube"
     assert result["sum"] == pytest.approx(float(tiny_cube.data.sum()))
 
 
-def test_cube_param_uses_existing_segment_when_already_shared(tiny_cube):
+def test_cube_param_uses_existing_segment_when_already_shared(tiny_cube, make_backend):
     with SharedCube.from_cube(tiny_cube) as shared:
         app = Application(name="cube")
         app.add_thread("summer", cube_sum_program, params={"cube": shared})
-        run = fast_backend().run(app)
+        run = make_backend().run(app)
         assert run.return_of("summer")["sum"] == pytest.approx(float(shared.data.sum()))
         assert not shared.closed  # the backend must not close foreign segments
 
 
-def test_kill_and_regenerate_replica():
+def test_kill_and_regenerate_replica(make_backend):
     app = Application(name="regen")
     app.add_thread("receiver", receiver_program)
     app.add_thread("sender", late_sender_program,
                    params={"target": "receiver", "delay": 1.0, "payload": 42})
-    backend = fast_backend()
+    backend = make_backend()
 
     regenerated = []
 
@@ -201,7 +224,7 @@ def test_kill_and_regenerate_replica():
     assert run.metrics.replicas_regenerated == 1
 
 
-def test_dead_letters_are_delivered_to_late_spawned_threads():
+def test_dead_letters_are_delivered_to_late_spawned_threads(make_backend):
     # The sender addresses a logical name that has no live replica yet; the
     # parked message must reach the replica spawned afterwards.
     app = Application(name="deadletter")
@@ -210,7 +233,7 @@ def test_dead_letters_are_delivered_to_late_spawned_threads():
     app.add_thread("sender", late_sender_program,
                    params={"target": "ghost", "delay": 0.0, "payload": 7,
                            "linger": 1.5})
-    backend = fast_backend()
+    backend = make_backend()
 
     spawned = []
 
@@ -235,10 +258,10 @@ def test_spawn_start_method_roundtrip():
     assert run.return_of("ping") == [0, 10]
 
 
-def test_run_timeout_kills_stuck_processes():
+def test_run_timeout_kills_stuck_processes(make_backend):
     app = Application(name="stuck")
     app.add_thread("idler", idler_program)
-    backend = fast_backend()
+    backend = make_backend()
     start = time.perf_counter()
     with pytest.raises(SCPError, match="timed out"):
         backend.run(app, timeout=1.0)
@@ -251,3 +274,95 @@ def test_cube_sum_program_is_a_generator(tiny_cube):
     effect = next(gen)
     assert isinstance(effect, Compute)
     gen.close()
+
+
+# ---------------------------------------------------------------------------
+# pool lifecycle
+# ---------------------------------------------------------------------------
+
+def _live_children():
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def test_owned_pool_leaves_no_slot_behind():
+    before = _live_children()
+    # Built but never run -- directly or through the registry -- a backend
+    # owns no process.
+    fast_backend()
+    create_backend("process:" + FAST_START)
+    assert _live_children() == before
+
+    ok = Application(name="ok")
+    ok.add_thread("adder", adder_program, params={"values": [1, 2]})
+    assert fast_backend().run(ok).return_of("adder") == 3
+    assert _live_children() <= before
+
+    crash = Application(name="crash")
+    crash.add_thread("crasher", crasher_program)
+    with pytest.raises(ThreadCrashedError):
+        fast_backend().run(crash)
+    assert _live_children() <= before
+
+    stuck = Application(name="stuck")
+    stuck.add_thread("idler", idler_program)
+    with pytest.raises(SCPError, match="timed out"):
+        fast_backend().run(stuck, timeout=0.5)
+    assert _live_children() <= before
+
+
+def test_regenerated_replica_returns_its_predecessors_slot():
+    # Regression: spawn_thread() reusing a physical name whose record had
+    # crashed used to overwrite that record, and with it the only handle on
+    # its slot -- the slot stayed busy until the pool closed, so every run
+    # of this shape grew the pool by one.
+    app = Application(name="flaky")
+    app.add_thread("flaky", flaky_program)
+    readings = []
+    with ProcessPool(start_method=FAST_START) as pool:
+        for _ in range(3):
+            backend = fast_backend(pool, crash_policy="record")
+
+            def on_death(pid, logical, reason, backend=backend):
+                backend.spawn_thread(app.spec(logical), replica=0, incarnation=1)
+
+            backend.subscribe_thread_death(on_death)
+            run = backend.run(app)
+            assert run.return_of("flaky") == 1
+            readings.append((pool.size, pool.idle, pool.spawned_processes))
+    assert readings[0] == readings[1] == readings[2]
+    size, idle, _ = readings[0]
+    assert idle == size
+
+
+class TestBorrowedPool:
+    """The generic runtime tests again, on slots of one long-lived pool."""
+
+    @pytest.fixture(scope="class")
+    def borrowed_pool(self):
+        with ProcessPool(start_method=FAST_START) as pool:
+            yield pool
+
+    @pytest.fixture
+    def make_backend(self, borrowed_pool):
+        return functools.partial(fast_backend, borrowed_pool)
+
+    test_ping_pong_roundtrip = staticmethod(test_ping_pong_roundtrip)
+    test_compute_records_phase_metrics = staticmethod(test_compute_records_phase_metrics)
+    test_program_crash_raises_thread_crashed_error = staticmethod(
+        test_program_crash_raises_thread_crashed_error)
+    test_program_crash_recorded_under_record_policy = staticmethod(
+        test_program_crash_recorded_under_record_policy)
+    test_receive_timeout_is_catchable_inside_programs = staticmethod(
+        test_receive_timeout_is_catchable_inside_programs)
+    test_until_thread_shuts_down_stragglers = staticmethod(
+        test_until_thread_shuts_down_stragglers)
+    test_backends_are_single_use = staticmethod(test_backends_are_single_use)
+    test_cube_params_are_shared_not_pickled = staticmethod(
+        test_cube_params_are_shared_not_pickled)
+    test_cube_param_uses_existing_segment_when_already_shared = staticmethod(
+        test_cube_param_uses_existing_segment_when_already_shared)
+    test_kill_and_regenerate_replica = staticmethod(test_kill_and_regenerate_replica)
+    test_dead_letters_are_delivered_to_late_spawned_threads = staticmethod(
+        test_dead_letters_are_delivered_to_late_spawned_threads)
+    test_run_timeout_kills_stuck_processes = staticmethod(
+        test_run_timeout_kills_stuck_processes)

@@ -15,7 +15,8 @@ from repro.data.cube import CubeError
 from repro.data.hydice import HydiceConfig, HydiceGenerator
 from repro.data.shared import (OutputPool, SharedComposite, owned_segment_names,
                                sweep_owned_segments, write_output_tile)
-from repro.scp.stages import ThreadStageExecutor
+from repro.scp.stages import TransportStageExecutor
+from repro.scp.transport import InProcessTransport
 
 
 def _segment_exists(name: str) -> bool:
@@ -265,7 +266,8 @@ class TestZeroCopyParity:
         from repro import fuse
 
         reference = fuse(cube, engine="sequential", config=config)
-        with ThreadStageExecutor(workers=2) as executor:
+        with TransportStageExecutor(InProcessTransport(workers=2),
+                                    workers=2) as executor:
             result = run_pipeline(cube, config, executor,
                                   adaptive_tiles=adaptive, zero_copy=zero_copy)
         np.testing.assert_array_equal(result.composite, reference.composite)

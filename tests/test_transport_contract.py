@@ -26,11 +26,12 @@ import pytest
 
 from repro.scp.pool import ProcessPool
 from repro.scp.stages import (PoolStageExecutor, StageCrashError, StageError,
-                              ThreadStageExecutor, TransportStageExecutor)
+                              TransportStageExecutor)
 from repro.scp.serialization import WAKE_NAME
-from repro.scp.transport import (SocketTransport, WorkerTransport,
-                                 create_transport, describe_transports,
-                                 register_transport, transport_names)
+from repro.scp.transport import (InProcessTransport, SocketTransport,
+                                 WorkerTransport, create_transport,
+                                 describe_transports, register_transport,
+                                 transport_names)
 
 #: /dev/shm residue prefixes the leak checks scan for (matches CI's check).
 RESIDUE_PREFIXES = ("psm_", "wnsm_", "scp-stages-")
@@ -54,7 +55,8 @@ def boom():
 
 def make_executor(kind, *, workers=2, max_retries=2):
     if kind == "inprocess":
-        return ThreadStageExecutor(workers=workers)
+        return TransportStageExecutor(InProcessTransport(workers=workers),
+                                      workers=workers)
     if kind == "forked":
         return PoolStageExecutor(ProcessPool(), workers=workers,
                                  max_retries=max_retries, owns_pool=True)
